@@ -96,30 +96,30 @@ def check_design_file(path: str | Path) -> list[Diagnostic]:
 def check_design(design: CrossbarDesign, file: str | None = None) -> list[Diagnostic]:
     """All static diagnostics for an in-memory design.
 
-    Layered designs run the same checks per nanowire plane / memristor
-    layer, plus D007 (via consistency), and receive the *layered*
-    semiperimeter certificate (L003/L004) in place of the planar
-    L001/L002 one: ``S = n + #VH`` is a planar identity, but the OCT
-    transfer + plane-capacity bound certifies every K.
+    Every check runs per nanowire plane / memristor layer, so planar and
+    layered designs share them.  The semiperimeter certificate is the
+    one split: ``S = n + #VH`` is a planar identity (L001/L002), while
+    the OCT transfer + plane-capacity bound certifies every K (L003/L004).
     """
-    if design.num_layers > 1:
-        diags = []
-        diags.extend(_label_binding_checks_3d(design, file))
-        diags.extend(_vh_checks_3d(design, file))
-        diags.extend(_alignment_checks_3d(design, file))
-        diags.extend(_reachability_checks_3d(design, file))
-        diags.extend(_spare_line_checks_3d(design, file))
-        diags.extend(_via_checks_3d(design, file))
-        diags.extend(_lower_bound_checks_3d(design, file))
-        return diags
-    diags = []
-    diags.extend(_label_binding_checks(design, file))
-    diags.extend(_vh_checks(design, file))
-    diags.extend(_alignment_checks(design, file))
-    diags.extend(_reachability_checks(design, file))
-    diags.extend(_spare_line_checks(design, file))
-    diags.extend(_lower_bound_checks(design, file))
+    diags: list[Diagnostic] = []
+    for check in (
+        _label_binding_checks,
+        _vh_checks,
+        _alignment_checks,
+        _reachability_checks,
+        _spare_line_checks,
+        _lower_bound_checks,
+    ):
+        diags.extend(check(design, file))
     return diags
+
+
+def _wire(design: CrossbarDesign, plane: int, index: int) -> str:
+    """A wire as diagnostics name it: ``row 3``/``col 3`` on planar
+    designs, ``plane 2 wire 3`` on layered ones."""
+    if design.num_layers == 1:
+        return f"{'col' if plane else 'row'} {index}"
+    return f"plane {plane} wire {index}"
 
 
 # -- D006: line/label binding ---------------------------------------------------
@@ -127,81 +127,114 @@ def check_design(design: CrossbarDesign, file: str | None = None) -> list[Diagno
 
 def _label_binding_checks(design: CrossbarDesign, file: str | None) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for kind, labels in (("row", design.row_labels), ("col", design.col_labels)):
+    for p, labels in enumerate(design.plane_labels):
         by_node: dict[object, int] = {}
-        for line, node in labels.items():
+        for wire, node in labels.items():
             if node in by_node:
                 diags.append(
                     diag(
                         "D006",
-                        f"node {node!r} labels both {kind} {by_node[node]} and "
-                        f"{kind} {line}",
-                        file=file, obj=f"{kind} {line}",
+                        f"node {node!r} labels both {_wire(design, p, by_node[node])} "
+                        f"and {_wire(design, p, wire)}",
+                        file=file, obj=_wire(design, p, wire),
                     )
                 )
             else:
-                by_node[node] = line
+                by_node[node] = wire
     return diags
 
 
-# -- D002: VH-labeling conformity ----------------------------------------------
+# -- D002 / D007: labeling conformity and stitches ------------------------------
+
+
+def _node_planes(design: CrossbarDesign) -> dict[object, list[int]]:
+    """Which nanowire planes each labeled node occupies, in plane order."""
+    planes: dict[object, list[int]] = {}
+    for p, labels in enumerate(design.plane_labels):
+        for node in dict.fromkeys(labels.values()):
+            planes.setdefault(node, []).append(p)
+    return planes
 
 
 def _vh_checks(design: CrossbarDesign, file: str | None) -> list[Diagnostic]:
-    if not design.row_labels and not design.col_labels:
+    labels = design.plane_labels
+    if not any(labels):
         return []
     diags: list[Diagnostic] = []
-    row_of = {node: r for r, node in design.row_labels.items()}
-    col_of = {node: c for c, node in design.col_labels.items()}
-
-    stitched: set[object] = set()
-    for r, c, lit in design.cells():
-        rnode = design.row_labels.get(r)
-        cnode = design.col_labels.get(c)
+    stitched: set[tuple[object, int]] = set()
+    for l, r, c, lit in design.cells():
+        rnode = labels[h_plane(l)].get(r)
+        cnode = labels[v_plane(l)].get(c)
+        at = design.site_name(l, r, c)
         if lit.is_constant():
-            # An always-on cell is only ever a VH stitch: it must join
-            # the wordline and bitline of the *same* node.
+            # An always-on cell is only ever a stitch: it must join the
+            # wordline and bitline of the *same* node.
             if rnode is None or cnode is None or rnode != cnode:
                 diags.append(
                     diag(
                         "D002",
-                        f"always-on cell at ({r}, {c}) joins "
-                        f"{_line_desc(rnode, 'row', r)} and "
-                        f"{_line_desc(cnode, 'col', c)} instead of stitching "
-                        "one VH node",
-                        file=file, obj=f"cell ({r}, {c})",
+                        f"always-on cell at {at} joins "
+                        f"{_line_desc(rnode, _wire(design, h_plane(l), r))} and "
+                        f"{_line_desc(cnode, _wire(design, v_plane(l), c))} "
+                        "instead of stitching one VH node",
+                        file=file, obj=f"cell {at}",
                     )
                 )
             else:
-                stitched.add(rnode)
-        else:
-            if rnode is not None and rnode == cnode:
-                diags.append(
-                    diag(
-                        "D002",
-                        f"literal cell at ({r}, {c}) loops node {rnode!r} "
-                        "to itself",
-                        file=file, obj=f"cell ({r}, {c})",
-                    )
-                )
-
-    for node in set(row_of) & set(col_of):
-        if node not in stitched:
+                stitched.add((rnode, l))
+        elif rnode is not None and rnode == cnode:
             diags.append(
                 diag(
                     "D002",
-                    f"VH node {node!r} (row {row_of[node]}, col {col_of[node]}) "
-                    "has no always-on stitch cell",
+                    f"literal cell at {at} loops node {rnode!r} to itself",
+                    file=file, obj=f"cell {at}",
+                )
+            )
+
+    # Every multi-plane node is one stitch between adjacent planes.
+    wire_of = [{node: wire for wire, node in plane.items()} for plane in labels]
+    for node, planes in _node_planes(design).items():
+        if len(planes) == 1:
+            continue
+        lo, hi = planes[0], planes[-1]
+        if len(planes) > 2:
+            diags.append(
+                diag(
+                    "D007",
+                    f"node {node!r} spans {len(planes)} nanowire planes "
+                    f"({', '.join(map(str, planes))}); a stitched node may "
+                    "occupy exactly two",
                     file=file, obj=f"node {node!r}",
                 )
             )
+        elif hi - lo != 1:
+            diags.append(
+                diag(
+                    "D007",
+                    f"node {node!r} spans non-adjacent planes {lo} and {hi}; "
+                    "no memristor layer can via them together",
+                    file=file, obj=f"node {node!r}",
+                )
+            )
+        elif (node, lo) not in stitched:
+            r, c = wire_of[h_plane(lo)][node], wire_of[v_plane(lo)][node]
+            if design.num_layers == 1:  # the planar VH stitch
+                code = "D002"
+                message = f"VH node {node!r} (row {r}, col {c}) has no always-on stitch cell"
+            else:
+                code = "D007"
+                message = (
+                    f"node {node!r} spans planes {lo} and {hi} but layer {lo} "
+                    f"has no always-on via at its crosspoint ({r}, {c})"
+                )
+            diags.append(diag(code, message, file=file, obj=f"node {node!r}"))
     return diags
 
 
-def _line_desc(node, kind: str, index: int) -> str:
+def _line_desc(node, wire: str) -> str:
     if node is None:
-        return f"unlabeled {kind} {index}"
-    return f"{kind} {index} (node {node!r})"
+        return f"unlabeled {wire}"
+    return f"{wire} (node {node!r})"
 
 
 # -- D003: alignment ------------------------------------------------------------
@@ -222,7 +255,12 @@ def _alignment_checks(design: CrossbarDesign, file: str | None) -> list[Diagnost
     non_constant = [
         out for out in design.output_rows if out not in design.constant_outputs
     ]
-    input_cells = sum(1 for r, _, _ in design.cells() if r == design.input_row)
+    # Plane 0 only borders memristor layer 0, so the driven input
+    # wordline can reach the array only through layer-0 cells.
+    input_cells = sum(
+        1 for l, r, _c, _lit in design.cells()
+        if l == 0 and r == design.input_row
+    )
     if non_constant and design.memristor_count and input_cells == 0:
         diags.append(
             diag(
@@ -242,226 +280,15 @@ def _reachability_checks(design: CrossbarDesign, file: str | None) -> list[Diagn
     """Cells that cannot lie on any input-to-output flow path.
 
     Best case for a cell is every programmed memristor conducting; if
-    even then its component of the line-connectivity graph misses the
+    even then its component of the wire-connectivity graph misses the
     input wordline or every output wordline, the cell can never carry
     (or gate) observable flow.
     """
     lines = UGraph()
-    lines.add_node(("r", design.input_row))
-    for row in design.output_rows.values():
-        lines.add_node(("r", row))
-    cells = list(design.cells())
-    for r, c, _lit in cells:
-        lines.add_edge(("r", r), ("c", c))
-
-    components = lines.connected_components()
-    component_of: dict[object, int] = {}
-    for idx, comp in enumerate(components):
-        for node in comp:
-            component_of[node] = idx
-    live = {
-        idx
-        for idx, comp in enumerate(components)
-        if ("r", design.input_row) in comp
-        and any(("r", row) in comp for row in design.output_rows.values())
-    }
-
-    diags: list[Diagnostic] = []
-    for r, c, lit in cells:
-        if component_of[("r", r)] not in live:
-            diags.append(
-                diag(
-                    "D004",
-                    f"memristor {lit} at ({r}, {c}) is disconnected from the "
-                    "input-output flow network",
-                    file=file, obj=f"cell ({r}, {c})",
-                )
-            )
-    return diags
-
-
-# -- D005: spare lines ----------------------------------------------------------
-
-
-def _spare_line_checks(design: CrossbarDesign, file: str | None) -> list[Diagnostic]:
-    used_rows = {design.input_row, *design.output_rows.values()}
-    used_cols: set[int] = set()
-    for r, c, _lit in design.cells():
-        used_rows.add(r)
-        used_cols.add(c)
-    diags: list[Diagnostic] = []
-    for r in range(design.num_rows):
-        if r not in used_rows:
-            diags.append(
-                diag("D005", f"wordline {r} is unused (spare)", file=file, obj=f"row {r}")
-            )
-    for c in range(design.num_cols):
-        if c not in used_cols:
-            diags.append(
-                diag("D005", f"bitline {c} is unused (spare)", file=file, obj=f"col {c}")
-            )
-    return diags
-
-
-# -- layered designs: the same checks per plane, plus D007 ----------------------
-
-
-def _node_planes(design: CrossbarDesign) -> dict[object, list[int]]:
-    """Which nanowire planes each labeled node occupies, in plane order."""
-    planes: dict[object, list[int]] = {}
-    for p, labels in enumerate(design.plane_labels):
-        for node in labels.values():
-            planes.setdefault(node, []).append(p)
-    return planes
-
-
-def _label_binding_checks_3d(
-    design: CrossbarDesign, file: str | None
-) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    for p, labels in enumerate(design.plane_labels):
-        by_node: dict[object, int] = {}
-        for wire, node in labels.items():
-            if node in by_node:
-                diags.append(
-                    diag(
-                        "D006",
-                        f"node {node!r} labels both wire {by_node[node]} and "
-                        f"wire {wire} of plane {p}",
-                        file=file, obj=f"plane {p} wire {wire}",
-                    )
-                )
-            else:
-                by_node[node] = wire
-    return diags
-
-
-def _vh_checks_3d(design: CrossbarDesign, file: str | None) -> list[Diagnostic]:
-    if not any(design.plane_labels):
-        return []
-    diags: list[Diagnostic] = []
-    for l, r, c, lit in design.cells3d():
-        rnode = design.plane_labels[h_plane(l)].get(r)
-        cnode = design.plane_labels[v_plane(l)].get(c)
-        if lit.is_constant():
-            if rnode is None or cnode is None or rnode != cnode:
-                diags.append(
-                    diag(
-                        "D002",
-                        f"always-on cell at layer {l} ({r}, {c}) joins "
-                        f"{_line_desc(rnode, 'wire', r)} and "
-                        f"{_line_desc(cnode, 'wire', c)} instead of stitching "
-                        "one node across the layer",
-                        file=file, obj=f"cell ({l}, {r}, {c})",
-                    )
-                )
-        elif rnode is not None and rnode == cnode:
-            diags.append(
-                diag(
-                    "D002",
-                    f"literal cell at layer {l} ({r}, {c}) loops node "
-                    f"{rnode!r} to itself",
-                    file=file, obj=f"cell ({l}, {r}, {c})",
-                )
-            )
-    return diags
-
-
-def _via_checks_3d(design: CrossbarDesign, file: str | None) -> list[Diagnostic]:
-    """D007: every multi-plane node is one via between adjacent planes."""
-    if not any(design.plane_labels):
-        return []
-    wire_of = [
-        {node: wire for wire, node in labels.items()}
-        for labels in design.plane_labels
-    ]
-    vias: set[tuple[object, int]] = set()
-    for l, r, c, lit in design.cells3d():
-        if not lit.is_constant():
-            continue
-        rnode = design.plane_labels[h_plane(l)].get(r)
-        if rnode is not None and rnode == design.plane_labels[v_plane(l)].get(c):
-            vias.add((rnode, l))
-
-    diags: list[Diagnostic] = []
-    for node, planes in _node_planes(design).items():
-        if len(planes) == 1:
-            continue
-        if len(planes) > 2:
-            diags.append(
-                diag(
-                    "D007",
-                    f"node {node!r} spans {len(planes)} nanowire planes "
-                    f"({', '.join(map(str, planes))}); a stitched node may "
-                    "occupy exactly two",
-                    file=file, obj=f"node {node!r}",
-                )
-            )
-            continue
-        lo, hi = planes
-        if hi - lo != 1:
-            diags.append(
-                diag(
-                    "D007",
-                    f"node {node!r} spans non-adjacent planes {lo} and {hi}; "
-                    "no memristor layer can via them together",
-                    file=file, obj=f"node {node!r}",
-                )
-            )
-        elif (node, lo) not in vias:
-            diags.append(
-                diag(
-                    "D007",
-                    f"node {node!r} spans planes {lo} and {hi} but layer {lo} "
-                    f"has no always-on via at its crosspoint "
-                    f"({wire_of[h_plane(lo)][node]}, {wire_of[v_plane(lo)][node]})",
-                    file=file, obj=f"node {node!r}",
-                )
-            )
-    return diags
-
-
-def _alignment_checks_3d(design: CrossbarDesign, file: str | None) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    for out, row in design.output_rows.items():
-        if row == design.input_row and out not in design.constant_outputs:
-            diags.append(
-                diag(
-                    "D003",
-                    f"output {out!r} senses the driven input wordline "
-                    f"{row} but is not declared constant",
-                    file=file, obj=out,
-                )
-            )
-    non_constant = [
-        out for out in design.output_rows if out not in design.constant_outputs
-    ]
-    # Plane 0 only borders memristor layer 0, so the driven input
-    # wordline can reach the array only through layer-0 cells.
-    input_cells = sum(
-        1 for l, r, _c, _lit in design.cells3d()
-        if l == 0 and r == design.input_row
-    )
-    if non_constant and design.memristor_count and input_cells == 0:
-        diags.append(
-            diag(
-                "D003",
-                f"input wordline {design.input_row} carries no memristors, so "
-                f"no output can ever read true",
-                file=file, obj=f"row {design.input_row}",
-            )
-        )
-    return diags
-
-
-def _reachability_checks_3d(
-    design: CrossbarDesign, file: str | None
-) -> list[Diagnostic]:
-    lines = UGraph()
     lines.add_node((0, design.input_row))
     for row in design.output_rows.values():
         lines.add_node((0, row))
-    cells = list(design.cells3d())
+    cells = list(design.cells())
     for l, r, c, _lit in cells:
         lines.add_edge((h_plane(l), r), (v_plane(l), c))
 
@@ -480,35 +307,38 @@ def _reachability_checks_3d(
     diags: list[Diagnostic] = []
     for l, r, c, lit in cells:
         if component_of[(h_plane(l), r)] not in live:
+            at = design.site_name(l, r, c)
             diags.append(
                 diag(
                     "D004",
-                    f"memristor {lit} at layer {l} ({r}, {c}) is disconnected "
-                    "from the input-output flow network",
-                    file=file, obj=f"cell ({l}, {r}, {c})",
+                    f"memristor {lit} at {at} is disconnected from the "
+                    "input-output flow network",
+                    file=file, obj=f"cell {at}",
                 )
             )
     return diags
 
 
-def _spare_line_checks_3d(
-    design: CrossbarDesign, file: str | None
-) -> list[Diagnostic]:
+# -- D005: spare lines ----------------------------------------------------------
+
+
+def _spare_line_checks(design: CrossbarDesign, file: str | None) -> list[Diagnostic]:
     used: set[tuple[int, int]] = {(0, design.input_row)}
     used.update((0, row) for row in design.output_rows.values())
-    for l, r, c, _lit in design.cells3d():
+    for l, r, c, _lit in design.cells():
         used.add((h_plane(l), r))
         used.add((v_plane(l), c))
     diags: list[Diagnostic] = []
     for p, size in enumerate(design.plane_sizes):
-        kind = "wordline" if p % 2 == 0 else "bitline"
+        kind = "bitline" if p % 2 else "wordline"
+        plane = "" if design.num_layers == 1 else f"plane {p} "
         for wire in range(size):
             if (p, wire) not in used:
                 diags.append(
                     diag(
                         "D005",
-                        f"plane {p} {kind} {wire} is unused (spare)",
-                        file=file, obj=f"plane {p} wire {wire}",
+                        f"{plane}{kind} {wire} is unused (spare)",
+                        file=file, obj=_wire(design, p, wire),
                     )
                 )
     return diags
@@ -521,23 +351,35 @@ def _lower_bound_checks(design: CrossbarDesign, file: str | None) -> list[Diagno
     graph = _implied_graph(design)
     if graph is None or len(graph) == 0:
         return []
-    cert = semiperimeter_lower_bound(graph)
-    failures = verify_semiperimeter_certificate(graph, cert)
+    layers = design.num_layers
+    if layers == 1:
+        cert = semiperimeter_lower_bound(graph)
+        failures = verify_semiperimeter_certificate(graph, cert)
+        info, error = "L001", "L002"
+        what, faithful = "semiperimeter", "VH-labeled"
+    else:
+        ports = len(_port_nodes(design))
+        cert = layered_semiperimeter_lower_bound(graph, ports, layers)
+        failures = verify_layered_certificate(graph, cert, ports, layers)
+        info, error = "L003", "L004"
+        what, faithful = f"{layers}-layer semiperimeter", "layered"
     if failures:
         return [
             diag(
-                "L002",
-                "semiperimeter certificate failed self-verification "
+                error,
+                f"{what} certificate failed self-verification "
                 f"({'; '.join(failures)})",
                 file=file, obj=design.name,
                 failed_components=sorted({f.split(":", 1)[0] for f in failures}),
             )
         ]
-    s_labeled = len(design.row_labels) + len(design.col_labels)
+    s_labeled = max(
+        len(labels) for labels in design.plane_labels[0::2]
+    ) + max(len(labels) for labels in design.plane_labels[1::2])
     diags = [
         diag(
-            "L001",
-            f"certified semiperimeter lower bound {cert['s_lb']} "
+            info,
+            f"certified {what} lower bound {cert['s_lb']} "
             f"(labeled S = {s_labeled}, gap {s_labeled - cert['s_lb']})",
             file=file, obj=design.name,
             **cert,
@@ -548,17 +390,17 @@ def _lower_bound_checks(design: CrossbarDesign, file: str | None) -> list[Diagno
     if s_labeled < cert["s_lb"]:
         diags.append(
             diag(
-                "L002",
-                f"labeled semiperimeter {s_labeled} is below the certified "
-                f"lower bound {cert['s_lb']} — the artifact cannot be a "
-                "faithful VH-labeled design",
+                error,
+                f"labeled {what} {s_labeled} is below the certified lower "
+                f"bound {cert['s_lb']} — the artifact cannot be a faithful "
+                f"{faithful} design",
                 file=file, obj=design.name,
             )
         )
     return diags
 
 
-def _port_nodes_3d(design: CrossbarDesign) -> set:
+def _port_nodes(design: CrossbarDesign) -> set:
     """The nodes the design pins to plane-0 wordlines (input + outputs)."""
     rows = {design.input_row}
     rows.update(
@@ -570,83 +412,15 @@ def _port_nodes_3d(design: CrossbarDesign) -> set:
     return {labels[r] for r in rows if r in labels}
 
 
-def _lower_bound_checks_3d(
-    design: CrossbarDesign, file: str | None
-) -> list[Diagnostic]:
-    graph = _implied_graph_3d(design)
-    if graph is None or len(graph) == 0:
-        return []
-    ports = len(_port_nodes_3d(design))
-    layers = design.num_layers
-    cert = layered_semiperimeter_lower_bound(graph, ports, layers)
-    failures = verify_layered_certificate(graph, cert, ports, layers)
-    if failures:
-        return [
-            diag(
-                "L004",
-                "layered semiperimeter certificate failed self-verification "
-                f"({'; '.join(failures)})",
-                file=file, obj=design.name,
-                failed_components=sorted({f.split(":", 1)[0] for f in failures}),
-            )
-        ]
-    s_labeled = max(
-        len(labels) for labels in design.plane_labels[0::2]
-    ) + max(len(labels) for labels in design.plane_labels[1::2])
-    diags = [
-        diag(
-            "L003",
-            f"certified {layers}-layer semiperimeter lower bound "
-            f"{cert['s_lb']} (labeled S = {s_labeled}, "
-            f"gap {s_labeled - cert['s_lb']})",
-            file=file, obj=design.name,
-            **cert,
-            s_labeled=s_labeled,
-            gap=s_labeled - cert["s_lb"],
-        )
-    ]
-    if s_labeled < cert["s_lb"]:
-        diags.append(
-            diag(
-                "L004",
-                f"labeled {layers}-layer semiperimeter {s_labeled} is below "
-                f"the certified lower bound {cert['s_lb']} — the artifact "
-                "cannot be a faithful layered design",
-                file=file, obj=design.name,
-            )
-        )
-    return diags
-
-
 def _implied_graph(design: CrossbarDesign) -> UGraph | None:
     """The BDD graph the design's labels and literal cells imply."""
-    if not design.row_labels and not design.col_labels:
-        return None
-    graph = UGraph()
-    for node in design.row_labels.values():
-        graph.add_node(node)
-    for node in design.col_labels.values():
-        graph.add_node(node)
-    for r, c, lit in design.cells():
-        if lit.is_constant():
-            continue
-        rnode = design.row_labels.get(r)
-        cnode = design.col_labels.get(c)
-        if rnode is None or cnode is None or rnode == cnode:
-            continue  # flagged by the D002/D006 checks
-        graph.add_edge(rnode, cnode)
-    return graph
-
-
-def _implied_graph_3d(design: CrossbarDesign) -> UGraph | None:
-    """The BDD graph a layered design's labels and literal cells imply."""
     if not any(design.plane_labels):
         return None
     graph = UGraph()
     for labels in design.plane_labels:
         for node in labels.values():
             graph.add_node(node)
-    for l, r, c, lit in design.cells3d():
+    for l, r, c, lit in design.cells():
         if lit.is_constant():
             continue
         rnode = design.plane_labels[h_plane(l)].get(r)

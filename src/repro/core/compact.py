@@ -27,12 +27,13 @@ from ..perf import StageTimer
 from .klabel import PLANE_METHODS, KLabeling, assign_planes
 from .labeling import VHLabeling
 from .mapping import map_to_crossbar
-from .mapping3d import map_to_crossbar3d
 from .preprocess import BddGraph, preprocess
 from .semiperimeter import label_heuristic, label_min_semiperimeter
 from .weighted import label_weighted
 
 __all__ = ["Compact", "CompactResult"]
+
+map_to_crossbar3d = map_to_crossbar  # former layered name; perfbench's traced run patches it
 
 
 @dataclass
@@ -236,12 +237,7 @@ class Compact:
                     plane_method=self.plane_method,
                 )
         with timer.stage("mapping"):
-            if self.layers > 1:
-                design: CrossbarDesign = map_to_crossbar3d(
-                    bdd_graph, labeling, name=name
-                )
-            else:
-                design = map_to_crossbar(bdd_graph, labeling, name=name)
+            design = map_to_crossbar(bdd_graph, labeling, name=name)
         return design, labeling
 
     # -- labeling dispatch ---------------------------------------------------------

@@ -60,8 +60,9 @@ def simulate(
     Every wordline and bitline is a circuit node; each crosspoint
     contributes ``1/r_on`` or ``1/r_off`` between its row and column.
     The input row is eliminated as a Dirichlet node at ``v_in``; output
-    rows see ``1/r_sense`` to ground.
+    rows see ``1/r_sense`` to ground.  Planar designs only.
     """
+    design.require_planar("analog simulation")
     R, C = design.num_rows, design.num_cols
     n = R + C  # node ids: rows 0..R-1, cols R..R+C-1
     g_on, g_off = 1.0 / params.r_on, 1.0 / params.r_off
@@ -71,10 +72,10 @@ def simulate(
 
     # One conductance per crosspoint, assembled as flat arrays.
     cells = list(design.cells())
-    cell_i = np.array([r for r, _c, _l in cells], dtype=np.intp)
-    cell_j = np.array([c for _r, c, _l in cells], dtype=np.intp) + R
+    cell_i = np.array([r for _l, r, _c, _lit in cells], dtype=np.intp)
+    cell_j = np.array([c for _l, _r, c, _lit in cells], dtype=np.intp) + R
     g = np.where(
-        np.array([(r, c) in on_cells for r, c, _l in cells], dtype=bool),
+        np.array([(l, r, c) in on_cells for l, r, c, _lit in cells], dtype=bool),
         g_on,
         g_off,
     )

@@ -53,37 +53,12 @@ def conducting_depths(
 ) -> dict[str, int | None]:
     """Shortest conducting path (in memristor hops) to each output.
 
-    BFS over the row/column connectivity graph; a hop traverses one
+    BFS over the wire connectivity graph; a hop traverses one
     low-resistance cell.  ``None`` when the output is unreachable under
     this assignment.
     """
-    on_cells = design.program(assignment)
-    row_adj: dict[int, list[int]] = {}
-    col_adj: dict[int, list[int]] = {}
-    for r, c in on_cells:
-        row_adj.setdefault(r, []).append(c)
-        col_adj.setdefault(c, []).append(r)
-
-    dist_rows = {design.input_row: 0}
-    dist_cols: dict[int, int] = {}
-    frontier_rows = [design.input_row]
-    depth = 0
-    while frontier_rows:
-        next_rows: list[int] = []
-        for r in frontier_rows:
-            for c in row_adj.get(r, ()):
-                if c not in dist_cols:
-                    dist_cols[c] = dist_rows[r] + 1
-                    for r2 in col_adj.get(c, ()):
-                        if r2 not in dist_rows:
-                            dist_rows[r2] = dist_cols[c] + 1
-                            next_rows.append(r2)
-        frontier_rows = next_rows
-        depth += 1
-
-    return {
-        out: dist_rows.get(row) for out, row in design.output_rows.items()
-    }
+    dist = design.wire_distances(design.program(assignment))
+    return {out: dist.get((0, row)) for out, row in design.output_rows.items()}
 
 
 def analyze_design(
@@ -140,7 +115,7 @@ def analyze_design(
                 else:
                     max_low = v if max_low is None else max(max_low, v)
 
-    cells = design.num_rows * design.num_cols
+    cells = sum(1 for _ in design.sites())
     return DesignAnalysis(
         name=design.name,
         utilization=design.memristor_count / cells if cells else 0.0,

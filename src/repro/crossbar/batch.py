@@ -26,7 +26,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .. import bitset
-from .design import CrossbarDesign, h_plane, v_plane
+from .design import CrossbarDesign
 from .literals import ON, Lit
 
 __all__ = ["batch_evaluate", "bitset_evaluate", "assignments_to_matrix"]
@@ -78,14 +78,13 @@ def _faulted_cells(
     Mirrors :func:`repro.crossbar.faults.evaluate_with_faults`: the last
     fault at a crosspoint wins, a stuck-on fault at an unprogrammed site
     appends an always-on cell, and a stuck-off fault there is inert.
-    Cells carry their full ``(layer, row, col)`` coordinate (layer 0 on
-    planar designs); ``forced[i]`` is None for healthy cells, else the
-    forced state.
+    Cells carry their full ``(layer, row, col)`` coordinate;
+    ``forced[i]`` is None for healthy cells, else the forced state.
     """
     from .faults import STUCK_ON, _check_fault_bounds
 
     _check_fault_bounds(design, faults)
-    cells = list(design.cells3d())
+    cells = list(design.cells())
     index = {(l, r, c): i for i, (l, r, c, _lit) in enumerate(cells)}
     forced: list[bool | None] = [None] * len(cells)
     for fault in faults:
@@ -108,26 +107,19 @@ def _wire_geometry(
 ) -> tuple[list[int], list[int], int, int]:
     """Global wordline/bitline indices for each cell, plus the space sizes.
 
-    The layered fixpoint runs over *one* horizontal and *one* vertical
-    wire space: the horizontal wire ``(plane 2k, r)`` gets global id
-    ``k * num_rows + r`` and the vertical wire ``(plane 2k+1, c)`` gets
-    ``k * num_cols + c``.  On a 1-layer design the ids collapse to the
-    plain row/column indices, so the planar sweep is untouched — the
-    inter-layer adjacency of a K-layer design is carried entirely by its
-    upper-layer cells scattering into higher wire blocks.  Ports always
-    live on plane 0, so output rows keep their ids verbatim.
+    The fixpoint runs over *one* horizontal and *one* vertical wire
+    space, numbered by :meth:`~repro.crossbar.design.CrossbarDesign.wordline`
+    and :meth:`~repro.crossbar.design.CrossbarDesign.bitline`: planar
+    designs keep their row/column indices, and the inter-layer adjacency
+    of a K-layer design is carried entirely by its upper-layer cells
+    scattering into higher wire blocks.  Ports always live on plane 0,
+    so output rows keep their ids verbatim.
     """
-    if design.num_layers == 1:
-        h_ids = [r for _l, r, _c, _lit in cells]
-        v_ids = [c for _l, _r, c, _lit in cells]
-        return h_ids, v_ids, design.num_rows, max(design.num_cols, 1)
-    h_stride = design.num_rows
-    v_stride = max(design.num_cols, 1)
-    h_ids = [(h_plane(l) // 2) * h_stride + r for l, r, _c, _lit in cells]
-    v_ids = [(v_plane(l) // 2) * v_stride + c for l, _r, c, _lit in cells]
-    num_even = design.num_layers // 2 + 1
-    num_odd = (design.num_layers + 1) // 2
-    return h_ids, v_ids, num_even * h_stride, max(num_odd * v_stride, 1)
+    h_ids = [design.wordline(l, r) for l, r, _c, _lit in cells]
+    v_ids = [design.bitline(l, c) for l, _r, c, _lit in cells]
+    planes = len(design.plane_sizes)
+    num_h = (planes + 1) // 2 * design.num_rows
+    return h_ids, v_ids, num_h, max(planes // 2 * design.num_cols, 1)
 
 
 def batch_evaluate(
@@ -161,7 +153,7 @@ def batch_evaluate(
     if faults:
         cells, forced = _faulted_cells(design, faults)
     else:
-        cells, forced = list(design.cells3d()), None
+        cells, forced = list(design.cells()), None
     on = np.zeros((m, len(cells)), dtype=bool)
     for i, (_l, _r, _c, lit) in enumerate(cells):
         if forced is not None and forced[i] is not None:
@@ -234,7 +226,7 @@ def bitset_evaluate(
     if faults:
         cells, forced = _faulted_cells(design, faults)
     else:
-        cells, forced = list(design.cells3d()), None
+        cells, forced = list(design.cells()), None
     words = bitset.num_words(n)
     on = np.zeros((len(cells), words), dtype=np.uint64)
     for i, (_l, _r, _c, lit) in enumerate(cells):

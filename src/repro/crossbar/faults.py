@@ -205,20 +205,17 @@ def _check_fault_bounds(design: CrossbarDesign, faults: Sequence[Fault]) -> None
                 f"fault {fault.kind} at layer {fault.layer} is outside "
                 f"the {design.num_layers}-layer crossbar"
             )
-        if design.num_layers == 1:
-            if not (0 <= fault.row < design.num_rows and 0 <= fault.col < design.num_cols):
-                raise ValueError(
-                    f"fault {fault.kind} at ({fault.row}, {fault.col}) is outside "
-                    f"the {design.num_rows}x{design.num_cols} crossbar"
-                )
-        else:
-            rows = design.plane_sizes[h_plane(fault.layer)]
-            cols = design.plane_sizes[v_plane(fault.layer)]
-            if not (0 <= fault.row < rows and 0 <= fault.col < cols):
-                raise ValueError(
-                    f"fault {fault.kind} at layer {fault.layer} ({fault.row}, "
-                    f"{fault.col}) is outside the layer's {rows}x{cols} wire planes"
-                )
+        rows = design.plane_sizes[h_plane(fault.layer)]
+        cols = design.plane_sizes[v_plane(fault.layer)]
+        if not (0 <= fault.row < rows and 0 <= fault.col < cols):
+            where = (
+                f"the {rows}x{cols} crossbar" if design.num_layers == 1
+                else f"the layer's {rows}x{cols} wire planes"
+            )
+            raise ValueError(
+                f"fault {fault.kind} at "
+                f"{design.site_name(fault.layer, fault.row, fault.col)} is outside {where}"
+            )
 
 
 def evaluate_with_faults(
@@ -235,13 +232,8 @@ def evaluate_with_faults(
     """
     _check_fault_bounds(design, faults)
     on_cells = design.program(assignment)
-    layered = design.num_layers > 1
     for fault in faults:
-        cell = (
-            (fault.layer, fault.row, fault.col)
-            if layered
-            else (fault.row, fault.col)
-        )
+        cell = (fault.layer, fault.row, fault.col)
         if fault.kind == STUCK_ON:
             on_cells.add(cell)
         else:
@@ -296,11 +288,9 @@ def critical_cells(
     crosspoints (a short can create a spurious sneak path), which are
     included when ``include_unprogrammed`` is set.
 
-    Planar designs report ``(row, col)`` pairs as always; layered
-    designs report ``(layer, row, col)`` triples.
+    Crosspoints are reported as ``(layer, row, col)`` triples.
     """
-    layered = design.num_layers > 1
-    programmed = {(l, r, c) for l, r, c, _ in design.cells3d()}
+    programmed = {(l, r, c) for l, r, c, _ in design.cells()}
     result: dict[str, list] = {k: [] for k in kinds}
 
     for kind in kinds:
@@ -308,7 +298,7 @@ def critical_cells(
             candidates = sorted(programmed)
         else:
             if include_unprogrammed:
-                candidates = _all_sites(design)
+                candidates = list(design.sites())
             else:
                 candidates = sorted(programmed)
         for l, r, c in candidates:
@@ -317,21 +307,8 @@ def critical_cells(
                 design, reference, inputs, [fault],
                 exhaustive_limit=exhaustive_limit, samples=samples,
             ):
-                result[kind].append((l, r, c) if layered else (r, c))
+                result[kind].append((l, r, c))
     return result
-
-
-def _all_sites(design: CrossbarDesign) -> list[tuple[int, int, int]]:
-    """Every physical crosspoint of ``design`` as (layer, row, col)."""
-    from .design import h_plane, v_plane
-
-    sizes = design.plane_sizes
-    return [
-        (l, r, c)
-        for l in range(design.num_layers)
-        for r in range(sizes[h_plane(l)])
-        for c in range(sizes[v_plane(l)])
-    ]
 
 
 def yield_estimate(
@@ -360,8 +337,8 @@ def yield_estimate(
         raise ValueError("need at least one trial")
     external_rng = isinstance(seed, random.Random)
     rng = _as_rng(seed)
-    programmed = [(l, r, c) for l, r, c, _ in design.cells3d()]
-    all_cells = _all_sites(design)
+    programmed = [(l, r, c) for l, r, c, _ in design.cells()]
+    all_cells = list(design.sites())
     good = 0
     for trial in range(trials):
         faults = [

@@ -26,7 +26,8 @@ class ProgrammingStep:
 
     cells_written: int
     rows_touched: int
-    #: Per-row write counts (row index -> cells rewritten on that row).
+    #: Per-wordline write counts (global wordline index -> cells
+    #: rewritten on it; the row index on planar designs).
     per_row: tuple[tuple[int, int], ...] = ()
 
     @property
@@ -74,9 +75,14 @@ class ProgrammingSchedule:
         )
 
 
-def _states(design: CrossbarDesign, assignment: Mapping[str, bool]) -> dict[tuple[int, int], bool]:
+def _states(
+    design: CrossbarDesign, assignment: Mapping[str, bool]
+) -> dict[tuple[int, int, int], bool]:
+    """Conduction of every programmed cell, keyed by its global wordline
+    (:meth:`~repro.crossbar.design.CrossbarDesign.wordline`), layer and column."""
     return {
-        (r, c): lit.evaluate(assignment) for r, c, lit in design.cells()
+        (design.wordline(l, r), l, c): lit.evaluate(assignment)
+        for l, r, c, lit in design.cells()
     }
 
 
@@ -99,7 +105,7 @@ def schedule_sequence(
         to_write = {rc for rc, on in first.items() if on}
     else:
         to_write = set(first)
-    init_rows = {r for r, _c in to_write}
+    init_rows = {w for w, _l, _c in to_write}
 
     schedule = ProgrammingSchedule(
         initial_cells=len(to_write),
@@ -111,8 +117,8 @@ def schedule_sequence(
         current = _states(design, env)
         changed = [rc for rc in current if current[rc] != previous[rc]]
         rows = {}
-        for r, _c in changed:
-            rows[r] = rows.get(r, 0) + 1
+        for w, _l, _c in changed:
+            rows[w] = rows.get(w, 0) + 1
         schedule.steps.append(
             ProgrammingStep(
                 cells_written=len(changed),

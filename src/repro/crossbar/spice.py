@@ -14,17 +14,16 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .analog import AnalogParams
-from .design import CrossbarDesign
+from .design import CrossbarDesign, h_plane, v_plane
 
 __all__ = ["to_spice_netlist"]
 
 
-def _row_node(r: int) -> str:
-    return f"row{r}"
-
-
-def _col_node(c: int) -> str:
-    return f"col{c}"
+def _wire_node(plane: int, wire: int) -> str:
+    """SPICE node of one nanowire: ``row3``/``col3`` on the bottom planes
+    0/1 (all of a planar design), suffixed ``_p<plane>`` above them."""
+    kind = "col" if plane % 2 else "row"
+    return f"{kind}{wire}" if plane < 2 else f"{kind}{wire}_p{plane}"
 
 
 def to_spice_netlist(
@@ -33,7 +32,11 @@ def to_spice_netlist(
     params: AnalogParams = AnalogParams(),
     title: str | None = None,
 ) -> str:
-    """Serialise the programmed crossbar as a SPICE DC deck."""
+    """Serialise the programmed crossbar as a SPICE DC deck.
+
+    Every nanowire is a node; on layered designs a cell joins the
+    wordline and bitline of the planes its layer touches.
+    """
     on_cells = design.program(assignment)
     lines = [f"* {title or design.name}: flow-based crossbar DC deck"]
     lines.append(f"* {design.num_rows} wordlines x {design.num_cols} bitlines, "
@@ -42,23 +45,22 @@ def to_spice_netlist(
     if env:
         lines.append(f"* assignment: {env}")
 
-    lines.append(f"Vin {_row_node(design.input_row)} 0 DC {params.v_in:g}")
+    lines.append(f"Vin {_wire_node(0, design.input_row)} 0 DC {params.v_in:g}")
 
-    idx = 0
-    for r, c, lit in design.cells():
-        resistance = params.r_on if (r, c) in on_cells else params.r_off
+    for idx, (l, r, c, lit) in enumerate(design.cells()):
+        resistance = params.r_on if (l, r, c) in on_cells else params.r_off
         lines.append(
-            f"Rm{idx} {_row_node(r)} {_col_node(c)} {resistance:g}  * cell({r},{c})={lit}"
+            f"Rm{idx} {_wire_node(h_plane(l), r)} {_wire_node(v_plane(l), c)} "
+            f"{resistance:g}  * cell({r},{c})={lit}"
         )
-        idx += 1
 
     for out, row in sorted(design.output_rows.items(), key=lambda kv: kv[1]):
         if row == design.input_row:
             continue  # driven node; nothing to sense through
-        lines.append(f"Rsense_{out} {_row_node(row)} 0 {params.r_sense:g}")
+        lines.append(f"Rsense_{out} {_wire_node(0, row)} 0 {params.r_sense:g}")
 
     lines.append(".op")
     for out, row in sorted(design.output_rows.items(), key=lambda kv: kv[1]):
-        lines.append(f".print dc v({_row_node(row)})  * output {out}")
+        lines.append(f".print dc v({_wire_node(0, row)})  * output {out}")
     lines.append(".end")
     return "\n".join(lines) + "\n"

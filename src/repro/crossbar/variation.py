@@ -92,11 +92,12 @@ def simulate_with_variation(
     an integer — same seed, same perturbed die — or a ``random.Random``
     whose stream the draw consumes.
     """
+    design.require_planar("device-variation simulation")
     rng = _as_rng(seed)
     on_cells = design.program(assignment)
     conductance: dict[tuple[int, int], float] = {}
-    for r, c, _lit in design.cells():
-        if (r, c) in on_cells:
+    for l, r, c, _lit in design.cells():
+        if (l, r, c) in on_cells:
             resistance = params.r_on * math.exp(rng.gauss(0.0, variation.sigma_on))
         else:
             resistance = params.r_off * math.exp(rng.gauss(0.0, variation.sigma_off))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..circuits.netlist import Netlist
-from ..crossbar.design import CrossbarDesign
+from ..crossbar.design import CrossbarDesign, h_plane, v_plane
 
 __all__ = ["netlist_to_dot", "design_to_dot"]
 
@@ -29,25 +29,37 @@ def netlist_to_dot(netlist: Netlist) -> str:
     return "\n".join(lines)
 
 
-def design_to_dot(design: CrossbarDesign) -> str:
-    """Render a crossbar design as its row/column bipartite graph.
+def _wire_id(plane: int, wire: int) -> str:
+    """Dot node id of a nanowire: ``r3``/``c3`` on the bottom planes 0/1
+    (all of a planar design), suffixed ``_p<plane>`` above them."""
+    kind = "c" if plane % 2 else "r"
+    return f"{kind}{wire}" if plane < 2 else f"{kind}{wire}_p{plane}"
 
-    Wordlines are boxes on the left rank, bitlines circles on the
-    right; each programmed cell is an edge labelled with its literal.
+
+def design_to_dot(design: CrossbarDesign) -> str:
+    """Render a crossbar design as its wire-level bipartite graph.
+
+    Wordlines are boxes, bitlines circles (upper-plane wires carry
+    their plane in the label); each programmed cell is an edge
+    labelled with its literal.
     """
     lines = [f'digraph "{design.name}" {{', "  rankdir=LR;"]
-    for r in range(design.num_rows):
-        marks = []
-        if r == design.input_row:
-            marks.append("Vin")
-        for out, row in design.output_rows.items():
-            if row == r:
-                marks.append(out)
-        suffix = f"\\n({', '.join(marks)})" if marks else ""
-        lines.append(f'  "r{r}" [shape=box, label="WL{r}{suffix}"];')
-    for c in range(design.num_cols):
-        lines.append(f'  "c{c}" [shape=circle, label="BL{c}"];')
-    for r, c, lit in design.cells():
-        lines.append(f'  "r{r}" -> "c{c}" [dir=none, label="{lit}"];')
+    for p, size in enumerate(design.plane_sizes):
+        plane = f"@p{p}" if p > 1 else ""
+        for w in range(size):
+            if p % 2:
+                lines.append(f'  "{_wire_id(p, w)}" [shape=circle, label="BL{w}{plane}"];')
+                continue
+            marks = []
+            if p == 0:  # the ports
+                marks = ["Vin"] if w == design.input_row else []
+                marks += [out for out, row in design.output_rows.items() if row == w]
+            suffix = f"\\n({', '.join(marks)})" if marks else ""
+            lines.append(f'  "{_wire_id(p, w)}" [shape=box, label="WL{w}{plane}{suffix}"];')
+    for l, r, c, lit in design.cells():
+        lines.append(
+            f'  "{_wire_id(h_plane(l), r)}" -> "{_wire_id(v_plane(l), c)}" '
+            f'[dir=none, label="{lit}"];'
+        )
     lines.append("}")
     return "\n".join(lines)

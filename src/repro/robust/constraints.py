@@ -49,14 +49,15 @@ class Violation:
 
 
 def cell_classes(design: CrossbarDesign) -> dict[tuple[int, int], str]:
-    """Class (``VAR`` or ``ON``) of every programmed logical crosspoint.
+    """Class (``VAR`` or ``ON``) of every programmed logical crosspoint
+    of a planar design.
 
     Unprogrammed crosspoints are implicitly ``OPEN`` (absent from the
     mapping).
     """
     return {
         (r, c): ON if lit.is_constant() else VAR
-        for r, c, lit in design.cells()
+        for _l, r, c, lit in design.cells()
     }
 
 

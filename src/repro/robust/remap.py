@@ -156,8 +156,9 @@ def remap(
         labeling solves).
 
     Returns a verified :class:`RemapResult`; raises :class:`RemapFailure`
-    with a full diagnosis when every stage fails.
+    with a full diagnosis when every stage fails.  Planar designs only.
     """
+    design.require_planar("defect-aware remapping")
     if method not in ("auto", "greedy", "milp"):
         raise ValueError(f"unknown remap method {method!r}")
     if fault_map.rows < design.num_rows or fault_map.cols < design.num_cols:

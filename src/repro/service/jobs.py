@@ -126,6 +126,7 @@ def _map(params: dict) -> dict:
     if netlist is None:
         raise ValueError("map requests need a 'circuit' object (not an expression)")
     design = design_from_json(params["design_json"])
+    design.require_planar("defect-aware remapping")
     fault_map_payload = params.get("fault_map")
     if isinstance(fault_map_payload, dict):
         import json as _json

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench.suites import circuit
 from repro.check import check_design
-from repro.crossbar import CrossbarDesign3D, Lit, OFF, ON
+from repro.crossbar import CrossbarDesign, Lit, OFF, ON
 from repro.crossbar.design import h_plane, v_plane
 from repro.core import Compact
 
@@ -82,7 +82,7 @@ class TestCleanLayeredDesign:
         assert not any(d.code == "L003" for d in diags)
 
     def test_spare_line_reported_per_plane(self, layered_c17):
-        wider = CrossbarDesign3D(
+        wider = CrossbarDesign(
             layered_c17.name,
             plane_sizes=[layered_c17.plane_sizes[0]]
             + [s + 1 for s in layered_c17.plane_sizes[1:]],
@@ -90,8 +90,8 @@ class TestCleanLayeredDesign:
             output_rows=dict(layered_c17.output_rows),
             constant_outputs=dict(layered_c17.constant_outputs),
         )
-        for l, r, c, lit in layered_c17.cells3d():
-            wider.set_cell3(l, r, c, lit)
+        for l, r, c, lit in layered_c17.cells():
+            wider.set_cell(r, c, lit, layer=l)
         for p, labels in enumerate(layered_c17.plane_labels):
             wider.plane_labels[p].update(labels)
         spare = [d for d in check_design(wider) if d.code == "D005"]
@@ -104,12 +104,12 @@ class TestViaConsistency:
         d = layered_c17
         vias = [
             (l, r, c)
-            for l, r, c, lit in d.cells3d()
+            for l, r, c, lit in d.cells()
             if lit.is_constant() and lit.positive
         ]
         assert vias, "2-layer c17 should stitch at least one node"
         l, r, c = vias[0]
-        del d._cells3d[(l, r, c)]
+        del d._cells[(l, r, c)]
         try:
             diags = check_design(d)
             assert "D007" in codes(diags)
@@ -119,15 +119,15 @@ class TestViaConsistency:
                 if diag.code == "D007"
             )
         finally:
-            d._cells3d[(l, r, c)] = ON
+            d._cells[(l, r, c)] = ON
 
     def test_d007_node_on_too_many_planes(self):
-        d = CrossbarDesign3D(
+        d = CrossbarDesign(
             "wide", plane_sizes=[2, 2, 2], input_row=0, output_rows={"f": 1}
         )
-        d.set_cell3(0, 0, 0, Lit("a", True))
-        d.set_cell3(0, 1, 1, ON)
-        d.set_cell3(1, 1, 0, ON)
+        d.set_cell(0, 0, Lit("a", True), layer=0)
+        d.set_cell(1, 1, ON, layer=0)
+        d.set_cell(1, 0, ON, layer=1)
         d.plane_labels[0][1] = "n"
         d.plane_labels[1][1] = "n"
         d.plane_labels[2][0] = "n"
@@ -136,10 +136,10 @@ class TestViaConsistency:
         assert any("3 nanowire planes" in x.message for x in diags)
 
     def test_d007_non_adjacent_planes(self):
-        d = CrossbarDesign3D(
+        d = CrossbarDesign(
             "gap", plane_sizes=[2, 2, 2, 2], input_row=0, output_rows={"f": 1}
         )
-        d.set_cell3(0, 0, 0, Lit("a", True))
+        d.set_cell(0, 0, Lit("a", True), layer=0)
         d.plane_labels[0][0] = "n"
         d.plane_labels[2][0] = "n"
         diags = [x for x in check_design(d) if x.code == "D007"]
@@ -152,7 +152,7 @@ class TestLayeredCorruptions:
         d = layered_c17
         vias = [
             (l, r, c)
-            for l, r, c, lit in d.cells3d()
+            for l, r, c, lit in d.cells()
             if lit.is_constant() and lit.positive
         ]
         l, r, c = vias[0]
@@ -185,7 +185,7 @@ class TestLayeredCorruptions:
         top = d.num_layers - 1
         hp, vp = h_plane(top), v_plane(top)
         sizes = list(d.plane_sizes)
-        grown = CrossbarDesign3D(
+        grown = CrossbarDesign(
             d.name,
             plane_sizes=[
                 s + 1 if p in (hp, vp) else s for p, s in enumerate(sizes)
@@ -194,9 +194,9 @@ class TestLayeredCorruptions:
             output_rows=dict(d.output_rows),
             constant_outputs=dict(d.constant_outputs),
         )
-        for l, r, c, lit in d.cells3d():
-            grown.set_cell3(l, r, c, lit)
-        grown.set_cell3(top, sizes[hp], sizes[vp], Lit("a", True))
+        for l, r, c, lit in d.cells():
+            grown.set_cell(r, c, lit, layer=l)
+        grown.set_cell(sizes[hp], sizes[vp], Lit("a", True), layer=top)
         diags = check_design(grown)
         assert "D004" in codes(diags)
 

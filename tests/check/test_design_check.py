@@ -55,7 +55,7 @@ class TestCleanDesign:
 class TestCorruptions:
     def test_d002_missing_stitch(self, fresh_design):
         d = fresh_design
-        stitches = [(r, c) for r, c, lit in d.cells() if lit.is_constant()]
+        stitches = [(l, r, c) for l, r, c, lit in d.cells() if lit.is_constant()]
         assert stitches, "synthesized c17 should contain at least one VH stitch"
         del d._cells[stitches[0]]
         found = [x for x in check_design(d) if x.code == "D002"]

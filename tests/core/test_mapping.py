@@ -49,7 +49,7 @@ class TestCells:
         bg = preprocess(sbdd_from_exprs({"f": parse("a ^ b")}))
         lab = label_weighted(bg, gamma=0.5)
         design = map_to_crossbar(bg, lab)
-        stitches = [lit for _, _, lit in design.cells() if lit == ON]
+        stitches = [lit for _l, _r, _c, lit in design.cells() if lit == ON]
         assert len(stitches) == lab.vh_count
 
     def test_every_graph_edge_programmed(self, c17_netlist):

@@ -72,8 +72,8 @@ class TestEvaluation:
 
     def test_program_returns_on_cells(self):
         d = tiny_design()
-        assert d.program({"a": True}) == {(1, 0), (0, 0)}
-        assert d.program({"a": False}) == {(0, 0)}
+        assert d.program({"a": True}) == {(0, 1, 0), (0, 0, 0)}
+        assert d.program({"a": False}) == {(0, 0, 0)}
 
     def test_negated_literal(self):
         d = CrossbarDesign("neg", 2, 1, input_row=1, output_rows={"f": 0})

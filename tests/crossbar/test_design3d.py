@@ -1,9 +1,8 @@
-"""Tests for the layered crossbar model (:class:`CrossbarDesign3D`)."""
+"""Tests for the layered crossbar model (:class:`CrossbarDesign` at K >= 2)."""
 
 import pytest
 
-from repro.crossbar import CrossbarDesign3D, Lit, ON, h_plane, v_plane
-from repro.crossbar.design import CrossbarDesign
+from repro.crossbar import CrossbarDesign, Lit, ON, h_plane, v_plane
 
 
 def and_gate_3d():
@@ -14,11 +13,11 @@ def and_gate_3d():
     back to... no — flow must return to plane 0 to be sensed, so route:
     input (p0 w1) --a--> p1 b0 --b--> p0 w0 (the output).
     """
-    design = CrossbarDesign3D(
+    design = CrossbarDesign(
         "and3d", plane_sizes=[2, 1, 1], input_row=1, output_rows={"f": 0}
     )
-    design.set_cell3(0, 1, 0, Lit("a", True))
-    design.set_cell3(0, 0, 0, Lit("b", True))
+    design.set_cell(1, 0, Lit("a", True), layer=0)
+    design.set_cell(0, 0, Lit("b", True), layer=0)
     return design
 
 
@@ -30,7 +29,7 @@ class TestGeometry:
         assert h_plane(3) == 4 and v_plane(3) == 3
 
     def test_footprint_is_plane_maxima(self):
-        design = CrossbarDesign3D(
+        design = CrossbarDesign(
             "d", plane_sizes=[3, 5, 2, 4], input_row=0, output_rows={}
         )
         assert design.num_layers == 3
@@ -40,17 +39,17 @@ class TestGeometry:
 
     def test_needs_at_least_two_planes(self):
         with pytest.raises(ValueError, match="planes"):
-            CrossbarDesign3D("d", plane_sizes=[3], input_row=0, output_rows={})
+            CrossbarDesign("d", plane_sizes=[3], input_row=0, output_rows={})
 
     def test_rejects_negative_plane_size(self):
         with pytest.raises(ValueError):
-            CrossbarDesign3D("d", plane_sizes=[2, -1], input_row=0, output_rows={})
+            CrossbarDesign("d", plane_sizes=[2, -1], input_row=0, output_rows={})
 
     def test_ports_must_fit_plane0(self):
         with pytest.raises(ValueError):
-            CrossbarDesign3D("d", plane_sizes=[2, 1], input_row=5, output_rows={})
+            CrossbarDesign("d", plane_sizes=[2, 1], input_row=5, output_rows={})
         with pytest.raises(ValueError):
-            CrossbarDesign3D(
+            CrossbarDesign(
                 "d", plane_sizes=[2, 1], input_row=0, output_rows={"f": 7}
             )
 
@@ -60,41 +59,40 @@ class TestCellAccess:
         from repro.crossbar import OFF
 
         design = and_gate_3d()
-        assert design.cell3(0, 1, 0) == Lit("a", True)
-        assert design.cell3(1, 0, 0) == OFF  # unprogrammed site
+        assert design.cell(1, 0, layer=0) == Lit("a", True)
+        assert design.cell(0, 0, layer=1) == OFF  # unprogrammed site
 
-    def test_planar_accessors_raise(self):
+    def test_upper_layer_cells_need_layer_keyword(self):
         design = and_gate_3d()
-        with pytest.raises(TypeError, match="cells3d"):
-            list(design.cells())
-        with pytest.raises(TypeError):
-            design.set_cell(0, 0, Lit("a", True))
-        with pytest.raises(TypeError):
-            design.cell(0, 0)
-        with pytest.raises(TypeError):
-            design.to_grid()
+        design.set_cell(0, 0, Lit("c", False), layer=1)
+        # Without ``layer=`` the accessors address layer 0 only.
+        assert design.cell(0, 0) == Lit("b", True)
+        assert design.cell(0, 0, layer=1) == Lit("c", False)
+        assert (1, 0, 0, Lit("c", False)) in list(design.cells())
+        assert all(len(cell) == 4 for cell in design.cells())
+        assert design.to_grid(1) == [["~c"]]
 
     def test_out_of_plane_site_rejected(self):
         design = and_gate_3d()
         with pytest.raises(IndexError):
-            design.set_cell3(0, 5, 0, ON)
+            design.set_cell(5, 0, ON, layer=0)
         with pytest.raises(IndexError):
-            design.set_cell3(2, 0, 0, ON)
+            design.set_cell(0, 0, ON, layer=2)
         with pytest.raises(IndexError):
-            design.set_cell3(1, 0, 3, ON)
+            design.set_cell(0, 3, ON, layer=1)
 
-    def test_base_class_cells3d_matches_cells(self):
+    def test_planar_cells_carry_layer_zero(self):
         planar = CrossbarDesign("p", num_rows=2, num_cols=2, input_row=1,
                                 output_rows={"f": 0})
         planar.set_cell(0, 1, Lit("x", True))
         planar.set_cell(1, 0, Lit("y", False))
-        assert [(0, r, c, lit) for r, c, lit in planar.cells()] == list(
-            planar.cells3d()
-        )
-        planar.set_cell3(0, 0, 0, ON)
-        assert planar.cell3(0, 0, 0) == ON
+        assert list(planar.cells()) == [
+            (0, 0, 1, Lit("x", True)), (0, 1, 0, Lit("y", False)),
+        ]
+        planar.set_cell(0, 0, ON, layer=0)
+        assert planar.cell(0, 0, layer=0) == ON
         with pytest.raises(IndexError):
-            planar.set_cell3(1, 0, 0, ON)
+            planar.set_cell(0, 0, ON, layer=1)
 
 
 class TestEvaluation:
@@ -108,16 +106,16 @@ class TestEvaluation:
         # input (p0 w1) --a--> p1 b0; via stitches p1 b0 to p2 w0 via an
         # ON cell in layer 1; then flow cannot reach the output without a
         # path back down -- the output stays False while a alone is True.
-        design = CrossbarDesign3D(
+        design = CrossbarDesign(
             "chain", plane_sizes=[2, 1, 1], input_row=1, output_rows={"f": 0}
         )
-        design.set_cell3(0, 1, 0, Lit("a", True))
-        design.set_cell3(1, 0, 0, Lit("b", True))
+        design.set_cell(1, 0, Lit("a", True), layer=0)
+        design.set_cell(0, 0, Lit("b", True), layer=1)
         assert design.evaluate({"a": True, "b": False}) == {"f": False}
         assert design.evaluate({"a": False, "b": True}) == {"f": False}
 
     def test_constant_outputs(self):
-        design = CrossbarDesign3D(
+        design = CrossbarDesign(
             "c", plane_sizes=[2, 1], input_row=0,
             output_rows={"t": 0, "z": 1}, constant_outputs={"t": True, "z": False},
         )
@@ -128,13 +126,13 @@ class TestEvaluation:
 class TestMetrics:
     def test_counts(self):
         design = and_gate_3d()
-        design.set_cell3(1, 0, 0, ON)
+        design.set_cell(0, 0, ON, layer=1)
         assert design.memristor_count == 3
         assert design.literal_count == 2
         assert design.via_count == 1
 
     def test_delay_counts_every_wordline_plane(self):
-        design = CrossbarDesign3D(
+        design = CrossbarDesign(
             "d", plane_sizes=[3, 2, 4], input_row=0, output_rows={}
         )
         assert design.delay_steps == 3 + 4 + 1

@@ -37,7 +37,7 @@ class TestFaultModel:
         design, _ = and_design
         env = {"a": True, "b": True}
         # Breaking every programmed cell certainly cuts the path.
-        faults = [Fault(r, c, STUCK_OFF) for r, c, _ in design.cells()]
+        faults = [Fault(r, c, STUCK_OFF) for _l, r, c, _ in design.cells()]
         assert evaluate_with_faults(design, env, faults)["f"] is False
 
     def test_stuck_on_can_create_spurious_path(self, and_design):
@@ -62,7 +62,7 @@ class TestFunctionalCheck:
     def test_detects_broken_function(self, and_design):
         design, e = and_design
         programmed = list(design.cells())
-        fault = Fault(programmed[0][0], programmed[0][1], STUCK_OFF)
+        fault = Fault(programmed[0][1], programmed[0][2], STUCK_OFF)
         assert not is_functional_under_faults(
             design, lambda env: {"f": e.evaluate(env)}, ["a", "b"], [fault]
         )
@@ -76,7 +76,7 @@ class TestCriticalCells:
         crit = critical_cells(
             design, lambda env: {"f": e.evaluate(env)}, ["a", "b"]
         )
-        programmed = {(r, c) for r, c, _ in design.cells()}
+        programmed = {(l, r, c) for l, r, c, _ in design.cells()}
         assert set(crit[STUCK_OFF]) == programmed
 
     def test_redundant_path_tolerates_stuck_off(self):
@@ -89,7 +89,7 @@ class TestCriticalCells:
         # it IS critical overall (a=1, b=0 fails) — but at least the
         # analysis must terminate and report subsets of the cell space.
         assert set(crit[STUCK_ON]) <= {
-            (r, c) for r in range(design.num_rows) for c in range(design.num_cols)
+            (0, r, c) for r in range(design.num_rows) for c in range(design.num_cols)
         }
 
     def test_stuck_on_unprogrammed_toggle(self, and_design):

@@ -82,7 +82,7 @@ class TestBoundsAgainstDesigns:
 class TestFaultedEvaluation:
     def test_scalar_batch_bitset_agree_under_faults(self, layered):
         netlist, design = layered
-        sites = [(l, r, c) for l, r, c, _lit in design.cells3d()]
+        sites = [(l, r, c) for l, r, c, _lit in design.cells()]
         faults = [
             Fault(sites[0][1], sites[0][2], STUCK_OFF, layer=sites[0][0]),
             Fault(sites[-1][1], sites[-1][2], STUCK_ON, layer=sites[-1][0]),
@@ -106,7 +106,7 @@ class TestFaultedEvaluation:
     def test_stuck_off_on_layer1_cell_changes_function(self, layered):
         netlist, design = layered
         upper = [
-            (l, r, c) for l, r, c, lit in design.cells3d()
+            (l, r, c) for l, r, c, lit in design.cells()
             if l == 1 and not lit.is_constant()
         ]
         assert upper, "2-layer c17 should program layer-1 cells"
@@ -134,7 +134,7 @@ class TestAnalysesOnLayeredDesigns:
             design, netlist.evaluate, netlist.inputs,
             include_unprogrammed=False,
         )
-        programmed = {(l, r, c) for l, r, c, _ in design.cells3d()}
+        programmed = {(l, r, c) for l, r, c, _ in design.cells()}
         for kind, sites in critical.items():
             assert all(len(site) == 3 for site in sites), kind
             assert set(sites) <= programmed

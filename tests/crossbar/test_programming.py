@@ -41,7 +41,7 @@ class TestScheduleSequence:
         step = sched.steps[0]
         # Only cells whose literal mentions c change state.
         c_cells = [
-            (r, col) for r, col, lit in design.cells() if lit.var == "c"
+            (r, col) for _l, r, col, lit in design.cells() if lit.var == "c"
         ]
         assert 0 < step.cells_written <= len(c_cells)
 

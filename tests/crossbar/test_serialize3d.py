@@ -7,7 +7,7 @@ import pytest
 from repro.circuits import c17
 from repro.core import Compact
 from repro.crossbar import (
-    CrossbarDesign3D,
+    CrossbarDesign,
     Fault,
     FaultMap,
     Lit,
@@ -33,7 +33,7 @@ class TestDesignRoundTrip:
         assert payload["format"] == "repro.crossbar/2"
         assert payload["layers"] == 2
         back = design_from_json(text)
-        assert isinstance(back, CrossbarDesign3D)
+        assert back.num_layers == 2
         assert back.plane_sizes == design.plane_sizes
         assert back.semiperimeter == design.semiperimeter
         assert validate_design(back, netlist.evaluate, netlist.inputs).ok
@@ -125,10 +125,10 @@ class TestPlaneLabels:
             assert set(back.plane_labels[plane]) == set(labels)
 
     def test_row_col_label_aliasing_preserved(self):
-        design = CrossbarDesign3D(
+        design = CrossbarDesign(
             "d", plane_sizes=[2, 1, 1], input_row=1, output_rows={"f": 0}
         )
-        design.set_cell3(0, 1, 0, Lit("a", True))
+        design.set_cell(1, 0, Lit("a", True), layer=0)
         design.plane_labels[0][0] = "root"
         back = design_from_json(design_to_json(design))
         # row_labels is plane 0 and col_labels plane 1, by aliasing.

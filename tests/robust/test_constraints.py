@@ -31,7 +31,7 @@ def identity_maps(design):
 class TestCellClasses:
     def test_covers_exactly_the_programmed_cells(self, and_design):
         classes = cell_classes(and_design)
-        assert set(classes) == {(r, c) for r, c, _ in and_design.cells()}
+        assert set(classes) == {(r, c) for _l, r, c, _ in and_design.cells()}
         assert set(classes.values()) <= {ON, VAR}
 
 
@@ -43,7 +43,7 @@ class TestPerCellRules:
 
     def test_stuck_off_under_programmed_cell_flagged(self, and_design):
         rm, cm = identity_maps(and_design)
-        r, c, _ = next(iter(and_design.cells()))
+        _l, r, c, _ = next(iter(and_design.cells()))
         fm = FaultMap(
             and_design.num_rows, and_design.num_cols, (Fault(r, c, STUCK_OFF),)
         )
@@ -57,7 +57,7 @@ class TestPerCellRules:
             parse("(a | b) & (c | d)"), name="f"
         ).design
         rm, cm = identity_maps(d)
-        programmed = {(r, c) for r, c, _ in d.cells()}
+        programmed = {(r, c) for _l, r, c, _ in d.cells()}
         open_site = next(
             (r, c)
             for r in range(d.num_rows)

@@ -29,7 +29,7 @@ class TestPipeline:
         assert ft.design is ft.remap.design
 
     def test_result_is_functional(self, netlist, base_design):
-        r, c, _ = next(iter(base_design.cells()))
+        _l, r, c, _ = next(iter(base_design.cells()))
         fm = FaultMap(
             base_design.num_rows + 1, base_design.num_cols + 1,
             (Fault(r, c, STUCK_OFF),),

@@ -31,7 +31,7 @@ class TestGreedyPlace:
 
     def test_routes_around_stuck_off(self, c17_design):
         d = c17_design
-        r, c, _ = next(iter(d.cells()))
+        _l, r, c, _ = next(iter(d.cells()))
         fm = FaultMap(d.num_rows + 1, d.num_cols + 1, (Fault(r, c, STUCK_OFF),))
         rm, cm, vs = greedy_place(
             d, fm, range(d.num_rows + 1), range(d.num_cols + 1)

@@ -37,7 +37,7 @@ class TestStages:
 
     def test_permutation_avoids_a_fault(self, c17_case):
         nl, design = c17_case
-        r, c, _ = next(iter(design.cells()))
+        _l, r, c, _ = next(iter(design.cells()))
         fm = FaultMap(design.num_rows, design.num_cols, (Fault(r, c, STUCK_OFF),))
         result = remap(design, fm, nl.evaluate, nl.inputs)
         assert result.stage in ("identity", "permute")
@@ -59,7 +59,7 @@ class TestStages:
 
     def test_milp_method_works(self, c17_case):
         nl, design = c17_case
-        r, c, _ = next(iter(design.cells()))
+        _l, r, c, _ = next(iter(design.cells()))
         fm = FaultMap(design.num_rows, design.num_cols, (Fault(r, c, STUCK_OFF),))
         result = remap(design, fm, nl.evaluate, nl.inputs, method="milp")
         assert result.method in ("identity", "milp")

@@ -76,6 +76,21 @@ def test_map_remaps_onto_faulty_array(c17_netlist):
     assert result["array"]["rows"] == design.num_rows + 2
 
 
+def test_map_rejects_a_layered_design_up_front(c17_netlist):
+    design = Compact(layers=2).synthesize_netlist(c17_netlist).design
+    fault_map = random_fault_map(design.num_rows, design.num_cols, seed=1)
+    payload = jobs.execute("map", {
+        "circuit": {"format": "blif", "text": write_blif(c17_netlist)},
+        "design_json": design_to_json(design),
+        "fault_map": fault_map_to_json(fault_map),
+    })
+    assert payload == {"ok": False, "error": {
+        "code": "bad_request",
+        "message": "defect-aware remapping supports planar designs only "
+                   "(design 'c17' has 2 memristor layers)",
+    }}
+
+
 def test_map_without_a_circuit_is_a_bad_request():
     payload = jobs.execute("map", {"expr": "a & b", "design_json": "{}"})
     assert payload["error"]["code"] == "bad_request"

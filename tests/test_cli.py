@@ -274,15 +274,38 @@ class TestSynth3D:
         assert "vias" in out
 
     def test_layers_json_artifact_round_trips(self, c17_verilog, tmp_path):
-        from repro.crossbar import CrossbarDesign3D, design_from_json
+        from repro.crossbar import design_from_json
 
         artifact = tmp_path / "c17_3d.json"
         rc = main(["synth", str(c17_verilog), "--layers", "3",
                    "--json", str(artifact)])
         assert rc == 0
         design = design_from_json(artifact.read_text())
-        assert isinstance(design, CrossbarDesign3D)
         assert design.num_layers == 3
+
+    def test_layers_spice_deck_joins_each_layers_planes(self, c17_verilog, tmp_path):
+        from repro.crossbar import design_from_json, h_plane, v_plane
+
+        artifact = tmp_path / "c17_2l.json"
+        deck = tmp_path / "c17_2l.sp"
+        rc = main(["synth", str(c17_verilog), "--layers", "2",
+                   "--json", str(artifact), "--spice", str(deck)])
+        assert rc == 0
+        design = design_from_json(artifact.read_text())
+
+        def node(plane, wire):
+            kind = "col" if plane % 2 else "row"
+            return f"{kind}{wire}" if plane < 2 else f"{kind}{wire}_p{plane}"
+
+        resistors = [
+            line.split()[:3] for line in deck.read_text().splitlines()
+            if line.startswith("Rm")
+        ]
+        cells = list(design.cells())
+        assert len(resistors) == len(cells)
+        assert {l for l, _r, _c, _lit in cells} == {0, 1}
+        for (name, a, b), (l, r, c, _lit) in zip(resistors, cells):
+            assert (a, b) == (node(h_plane(l), r), node(v_plane(l), c)), name
 
     def test_layers_must_be_positive(self, c17_verilog, capsys):
         with pytest.raises(SystemExit):

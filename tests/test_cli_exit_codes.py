@@ -118,6 +118,25 @@ def test_map_with_invalid_fault_map_exits_two(capsys, tmp_path, c17_netlist):
     assert "not a valid fault map" in capsys.readouterr().err
 
 
+def test_map_of_a_layered_design_exits_two(capsys, tmp_path, c17_netlist):
+    blif = tmp_path / "c.blif"
+    blif.write_text(write_blif(c17_netlist))
+    design = tmp_path / "design.json"
+    assert _exit_code([
+        "synth", str(blif), "--layers", "2", "--no-validate", "--json", str(design),
+    ]) == 0
+    fm = tmp_path / "fm.json"
+    assert _exit_code(["faults", "8", "8", "--out", str(fm)]) == 0
+    capsys.readouterr()
+    assert _exit_code([
+        "map", str(design), "--circuit", str(blif), "--fault-map", str(fm),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "defect-aware remapping supports planar designs only " \
+        "(design 'c17' has 2 memristor layers)" in err
+    assert "cells3d" not in err and "Traceback" not in err
+
+
 def test_faults_rejects_nonpositive_dimensions(capsys):
     assert _exit_code(["faults", "0", "4"]) == 2
     assert "positive" in capsys.readouterr().err
