@@ -11,7 +11,7 @@ from repro.bench.tables import text_series
 
 def test_fig10_converges(benchmark, save_result):
     table, trace = benchmark.pedantic(
-        lambda: fig10_convergence(circuit="c17", gamma=0.5, time_limit=30.0),
+        lambda: fig10_convergence(circuit="cmp8", gamma=0.5, time_limit=30.0),
         rounds=1,
         iterations=1,
     )
@@ -23,7 +23,7 @@ def test_fig10_converges(benchmark, save_result):
     assert all(a >= b for a, b in zip(incumbents, incumbents[1:]))
 
     final_gap = trace[-1][3]
-    assert final_gap is not None and final_gap <= 1e-6, "gap should close on c17"
+    assert final_gap is not None and final_gap <= 1e-6, "gap should close on cmp8"
 
     xs = [t for t, _, _, _ in trace]
     save_result(
@@ -39,11 +39,11 @@ def test_fig10_converges(benchmark, save_result):
 def test_fig10_truncated_trace(benchmark, save_result):
     """A larger instance shows the still-open gap (paper's long tail)."""
     table, trace = benchmark.pedantic(
-        lambda: fig10_convergence(circuit="mux16", gamma=0.5, time_limit=15.0),
+        lambda: fig10_convergence(circuit="rca8", gamma=0.5, time_limit=15.0),
         rounds=1,
         iterations=1,
     )
-    save_result("fig10_convergence_mux16", table.render())
+    save_result("fig10_convergence_rca8", table.render())
     assert trace
     final_gap = trace[-1][3]
     assert final_gap is not None and final_gap >= 0

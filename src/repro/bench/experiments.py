@@ -362,7 +362,7 @@ def _non_dominated(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 # Figures 10 and 11
 # --------------------------------------------------------------------------- #
 def fig10_convergence(
-    circuit: str = "c17",
+    circuit: str = "cmp8",
     gamma: float = 0.5,
     time_limit: float = 30.0,
 ) -> tuple[Table, list[tuple[float, float | None, float, float | None]]]:
@@ -405,7 +405,9 @@ def fig10_convergence(
 
 
 def fig11_gaps(
-    circuits: tuple[str, ...] = ("voter9", "mux16", "cmp8", "alu4", "i2c_like"),
+    circuits: tuple[str, ...] = (
+        "voter9", "mux16", "cmp8", "alu4", "i2c_like", "rca8", "mult4",
+    ),
     gamma: float = 0.5,
     time_limit: float = 8.0,
 ) -> tuple[Table, dict[str, float]]:

@@ -20,7 +20,7 @@ _ORDER = [
     "table4_vs_prior",
     "fig9_pareto",
     "fig10_convergence",
-    "fig10_convergence_mux16",
+    "fig10_convergence_rca8",
     "fig11_gaps",
     "fig12_power_delay",
     "fig13_vs_magic",

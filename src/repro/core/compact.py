@@ -24,7 +24,7 @@ from ..circuits.netlist import Netlist
 from ..crossbar.design import CrossbarDesign
 from ..expr import Expr
 from ..perf import StageTimer
-from .klabel import PLANE_METHODS, KLabeling, assign_planes
+from .klabel import PLANE_METHODS, KLabeling, assign_planes, stitch_lower_bound
 from .labeling import VHLabeling
 from .mapping import map_to_crossbar
 from .preprocess import BddGraph, preprocess
@@ -86,7 +86,8 @@ class Compact:
         (greedy OCT, for scalability), or ``"auto"`` (``oct`` when
         gamma == 1; otherwise ``oct`` first, returned outright when its
         result is provably optimal for every gamma — minimal ``S`` with
-        ``D == ceil(S/2)`` — else ``mip``, warm-started by it).
+        ``D == ceil(S/2)`` — else ``mip``, cut by its certified bound
+        ``S >= n + ceil(oct_lb)`` and, on ``bnb``, warm-started by it).
     backend:
         MILP backend: ``"highs"`` (fast) or ``"bnb"`` (pure Python,
         records convergence traces).
@@ -268,6 +269,7 @@ class Compact:
                     backend=self.backend,
                     time_limit=self.time_limit,
                     warm_start=labeling,
+                    s_lower_bound=_certified_s_bound(bdd_graph, labeling),
                 )
                 if exact.semiperimeter < labeling.semiperimeter:
                     return exact
@@ -290,7 +292,7 @@ class Compact:
                 and warm.max_dimension <= (warm.semiperimeter + 1) // 2
             ):
                 return warm
-        return label_weighted(
+        labeling = label_weighted(
             bdd_graph,
             gamma=self.gamma,
             alignment=self.alignment,
@@ -298,4 +300,19 @@ class Compact:
             time_limit=self.time_limit,
             warm_start=warm if self.backend == "bnb" else None,
             trace_callback=trace_callback,
+            s_lower_bound=None if warm is None else _certified_s_bound(bdd_graph, warm),
         )
+        if warm is not None:
+            labeling.meta["stage_seconds"] = {
+                **warm.meta["stage_seconds"], **labeling.meta["stage_seconds"],
+            }
+        return labeling
+
+
+def _certified_s_bound(bdd_graph: BddGraph, oct_labeling: VHLabeling) -> int:
+    """``n + ceil(oct_lb)``: a lower bound on ``S`` of every valid labeling.
+
+    Certified even when the Method-A solve was budget-stopped or had to
+    promote ports, and equal to its ``S`` when the solve was optimal.
+    """
+    return len(bdd_graph.graph) + stitch_lower_bound(oct_labeling)

@@ -53,7 +53,10 @@ __all__ = [
 #: Stamped into the hashed material; bump to invalidate every old key.
 #: v2: synth keys carry the ``layers`` knob (3D synthesis).
 #: v3: synth keys carry the ``plane_method`` knob (certified 3D solves).
-CACHE_KEY_SCHEMA = "repro-service-key/3"
+#: v4: the weighted MIP is solved in vertex-cover form with the Method-A
+#: bound as a cut; it may return a different design of equal objective,
+#: so disk/remote tiers filled under v3 must not mix with fresh results.
+CACHE_KEY_SCHEMA = "repro-service-key/4"
 
 _READERS = None  # lazily populated: {"verilog": read_verilog, ...}
 

@@ -106,6 +106,15 @@ class TestMethodB:
         ref = label_weighted(bg, gamma=0.5, backend="highs")
         assert lab.objective(0.5) >= ref.objective(0.5) - 1e-9
 
+    def test_meta_records_mip_time_and_bound(self, c17_netlist):
+        bg = graph_of(c17_netlist)
+        plain = label_weighted(bg, gamma=0.5)
+        assert plain.meta["stage_seconds"]["mip"] > 0
+        assert plain.meta["s_lower_bound"] is None
+        cut = label_weighted(bg, gamma=0.5, s_lower_bound=bg.num_nodes)
+        assert cut.meta["s_lower_bound"] == bg.num_nodes
+        assert cut.objective(0.5) == pytest.approx(plain.objective(0.5))
+
     def test_trace_recorded_with_bnb(self, c17_netlist):
         bg = graph_of(c17_netlist)
         lab = label_weighted(bg, gamma=0.5, backend="bnb", time_limit=20)

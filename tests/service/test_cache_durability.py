@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
-from repro.service.cache import CACHE_KEY_SCHEMA, ResultCache
+from repro.service.cache import (
+    CACHE_KEY_SCHEMA,
+    ResultCache,
+    canonical_request,
+    request_key,
+)
 
 
 def _entry_files(directory):
@@ -66,3 +72,24 @@ def test_wrong_schema_entry_is_dropped(tmp_path):
     )
     assert cache.get(key) is None
     assert _entry_files(tmp_path) == []
+
+
+def test_entry_from_the_previous_key_schema_is_a_miss(tmp_path):
+    """A tier filled by an older node (``/3``) never serves this one."""
+    assert CACHE_KEY_SCHEMA == "repro-service-key/4"
+    params = {"expr": "a & b"}
+    material = canonical_request("synth", params)
+    old_material = {**material, "schema": "repro-service-key/3"}
+    old_key = hashlib.sha256(
+        json.dumps(old_material, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+    key = request_key("synth", params)
+    assert key != old_key
+    # Even an entry written under the current key but stamped /3 is dropped.
+    for stale in (old_key, key):
+        (tmp_path / f"{stale}.json").write_text(
+            json.dumps({"schema": "repro-service-key/3", "result": {"value": 1}})
+        )
+    cache = ResultCache(capacity=4, directory=tmp_path)
+    assert cache.get(key) is None
+    assert [p.stem for p in _entry_files(tmp_path)] == [old_key]
