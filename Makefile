@@ -57,7 +57,7 @@ synth3d-smoke:
 	  --json $(SYNTH3D_TMP)/maj3-2l.json
 	$(PYTHON) -m repro check $(SYNTH3D_TMP)/c17-2l.json --json
 	$(PYTHON) -m repro check $(SYNTH3D_TMP)/maj3-2l.json --json
-	$(PYTHON) -m repro bench perf --circuits c17,voter9 --layer-sweep 1,2 \
+	$(PYTHON) -m repro bench perf --circuits c17,voter9,router24 --layer-sweep 1,2,3 \
 	  --jobs 2 --time-limit 10
 
 # Load-generator smoke: drive the async front with the cached mix and

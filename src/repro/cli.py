@@ -251,10 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--time-limit", type=float, default=60.0)
     synth.add_argument("--layers", type=int, default=1, metavar="K",
                        help="memristor layers in the target crossbar (default 1)")
-    synth.add_argument("--plane-method", default="auto",
-                       choices=["auto", "fold", "milp", "decomposed-milp"],
-                       help="plane-assignment solver for --layers >= 2 "
-                            "(decomposed-milp lifts the exact-solve size limit)")
+    synth.add_argument("--plane-method", default="auto", choices=["auto", "fold"],
+                       help="plane-assignment solver for --layers >= 2: auto runs "
+                            "the exact plane MILP after the fold, fold skips it")
     synth.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker threads for the decomposed labeling solve",
@@ -370,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_synth.add_argument("--time-limit", type=float, default=60.0)
     c_synth.add_argument("--layers", type=int, default=1, metavar="K",
                          help="memristor layers in the target crossbar (default 1)")
-    c_synth.add_argument("--plane-method", default="auto",
-                         choices=["auto", "fold", "milp", "decomposed-milp"],
+    c_synth.add_argument("--plane-method", default="auto", choices=["auto", "fold"],
                          help="plane-assignment solver for --layers >= 2")
     c_synth.add_argument(
         "--jobs", type=int, default=1, metavar="N",

@@ -105,11 +105,9 @@ class Compact:
         footprint semiperimeter.
     plane_method:
         Stage-2 plane-assignment solver for ``layers >= 2``:
-        ``"auto"`` (fold + the exact MILP on graphs up to
-        :data:`~repro.core.klabel.MILP_NODE_LIMIT` nodes), ``"fold"``
-        (heuristic only), ``"milp"`` (monolithic MILP regardless of
-        size) or ``"decomposed-milp"`` (kernelized MILP — lifts the
-        node-count ceiling).  Ignored for planar synthesis.
+        ``"auto"`` (zigzag fold, then the exact threshold-encoded plane
+        MILP at every graph size, unless ``method="heuristic"``) or
+        ``"fold"`` (the heuristic alone).  Ignored for planar synthesis.
     """
 
     def __init__(

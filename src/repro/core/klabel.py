@@ -23,10 +23,23 @@ therefore solves in two stages:
 2. a *plane assignment* spreads the wires over the K+1 planes —
    :func:`assign_planes` runs a zigzag-fold heuristic (provably valid
    and never worse than the planar solution) refined by a greedy load
-   rebalance, plus an exact MILP: monolithic on small graphs
-   (``plane_method="auto"``/``"milp"``), or kernelized —
-   port-forcing, distance-based domain pruning and a per-component
-   split — past :data:`MILP_NODE_LIMIT` (``plane_method="decomposed-milp"``).
+   rebalance, then one exact MILP over every node's *lowest plane*.
+
+The exact stage is a threshold encoding, chosen because the edge rules
+are all difference constraints.  Write ``lam_v`` for the lowest plane
+of node ``v`` and ``w_v`` for its extra width (1 for ``VH``, else 0), so
+its wires fill planes ``lam_v .. lam_v + w_v``.  An edge ``(u, v)`` is
+realizable iff ``lam_u - lam_v <= 1 + w_v`` and ``lam_v - lam_u <= 1 +
+w_u``: pure–pure ``|lam_u - lam_v| <= 1`` (the H/V parities make the
+step exactly 1), pure ``u`` against ``VH`` ``v`` ``-1 <= lam_u - lam_v
+<= 2``, and ``VH``–``VH`` ``|lam_u - lam_v| <= 2``.  With binaries
+``y[v,t] = [lam_v >= t]``, each ``lam_u - lam_v <= c`` is the family of
+implications ``y[u,t+c] <= y[v,t]``; together with the chains ``y[v,t+1]
+<= y[v,t]`` that is a closure system, whose constraint matrix is totally
+unimodular — only the plane-load rows ``load_p = sum_v (y[v,p-w_v] -
+y[v,p+1])`` are not.  Along any edge ``lam`` rises by at most 2, so a
+node ``d`` hops from a port never sits above plane ``2d``, which bounds
+its domain without cutting a feasible assignment.
 
 Every result is measured against two independent capacity bounds from
 :mod:`repro.graphs.bounds`: the fixed-split bound certifies the *plane
@@ -41,6 +54,7 @@ the largest vertical plane, so ``S`` for K >= 2 is at most the planar
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import time
@@ -55,17 +69,12 @@ __all__ = [
     "KLabeling",
     "lift_labeling",
     "assign_planes",
-    "MILP_NODE_LIMIT",
     "PLANE_METHODS",
     "stitch_lower_bound",
 ]
 
 #: Stage-2 solver selection accepted by :func:`assign_planes`.
-PLANE_METHODS = ("auto", "fold", "milp", "decomposed-milp")
-
-#: Largest pure-graph node count handed to the exact plane-assignment
-#: MILP; bigger graphs keep the zigzag-fold heuristic result.
-MILP_NODE_LIMIT = 240
+PLANE_METHODS = ("auto", "fold")
 
 
 @dataclass(frozen=True, order=True)
@@ -248,15 +257,25 @@ def stitch_lower_bound(labeling: VHLabeling) -> int:
 
     The stitch set of every K-layer labeling is an (aligned) odd cycle
     transversal — parity around a cycle is plane-independent — so the
-    stage-1 solver's bound transfers to every K.  When stage 1 proved
-    its stitch set optimal the achieved count is exact; otherwise the
-    solver's reported lower bound (if any) is used.
+    stage-1 solver's bound transfers to every K.  The achieved count is
+    exact only when stage 1 proved a *minimum stitch set*: a Method-A
+    (``oct``) labeling, or a weighted labeling at gamma 1.  A weighted
+    optimum at gamma < 1 may spend extra stitches to balance D, so it
+    falls back to the Method-A bound it was cut with
+    (``s_lower_bound - n``); otherwise the solver's reported OCT bound,
+    if any, is used.
     """
-    if labeling.meta.get("optimal"):
+    meta = labeling.meta
+    minimal = meta.get("method") == "oct" or (
+        meta.get("method") == "mip" and meta.get("gamma") == 1.0
+    )
+    if meta.get("optimal") and minimal:
         return sum(
             1 for lab in labeling.labels.values() if lab is Label.VH
         )
-    lower = labeling.meta.get("oct_lower_bound")
+    lower = meta.get("oct_lower_bound")
+    if lower is None and meta.get("s_lower_bound") is not None:
+        lower = meta["s_lower_bound"] - len(labeling.labels)
     if lower is None:
         return 0
     return max(0, math.ceil(lower - 1e-9))
@@ -278,16 +297,14 @@ def assign_planes(
     The stitch set and H/V bipartition of ``labeling`` are kept (they
     stay optimal for every K, see the module docstring); only the plane
     of each wire is chosen.  Runs the zigzag fold plus greedy rebalance
-    always; ``plane_method`` selects the refinement:
-
-    * ``"auto"`` — the monolithic exact MILP (warm-checked against the
-      fold) when the graph fits :data:`MILP_NODE_LIMIT` and ``method``
-      is not ``"heuristic"``;
-    * ``"milp"`` — the monolithic MILP regardless of size;
-    * ``"decomposed-milp"`` — the kernelized MILP (port forcing,
-      distance-pruned domains, per-component split), which lifts the
-      node-count ceiling;
-    * ``"fold"`` — the heuristic alone.
+    always; with ``plane_method="auto"`` (and ``method`` other than
+    ``"heuristic"``) the exact threshold MILP of the module docstring
+    follows, at every graph size, and its result replaces the fold's
+    when it is strictly better.  ``plane_method="fold"`` keeps the
+    heuristic alone.  ``plane_method`` in the meta records the outcome:
+    ``milp``, ``fold+milp-certified`` (the fold met the proven optimum)
+    or ``fold``, plus ``+capacity-certified`` when the footprint meets
+    the fixed-split capacity bound.
 
     The result never has a larger footprint than the planar design, and
     its meta carries the capacity certificates: ``plane_s_lb`` (fixed
@@ -327,34 +344,22 @@ def assign_planes(
     chosen = "fold"
     plane_optimal = False
 
-    run_monolithic = plane_method == "milp" or (
-        plane_method == "auto"
-        and method != "heuristic"
-        and n <= MILP_NODE_LIMIT
-    )
     exact = None
-    if run_monolithic:
+    if plane_method == "auto" and method != "heuristic":
         exact = _plane_milp(
             bdd_graph, labeling, num_layers, gamma, alignment,
             backend=backend, time_limit=time_limit, warm=folded,
         )
-        exact_tag = "milp"
-    elif plane_method == "decomposed-milp":
-        exact = _plane_milp_decomposed(
-            bdd_graph, labeling, num_layers, gamma, alignment,
-            backend=backend, time_limit=time_limit, warm=folded,
-        )
-        exact_tag = "decomposed-milp"
     if exact is not None:
         milp_labeling, milp_optimal = exact
         plane_optimal = milp_optimal
         if milp_labeling.objective(gamma) < best.objective(gamma) - 1e-9:
             best = milp_labeling
-            chosen = exact_tag
+            chosen = "milp"
         elif milp_optimal:
             # The fold already attains the exact optimum; keep it
             # (deterministic tie-break) but record the certificate.
-            chosen = f"fold+{exact_tag}-certified"
+            chosen = "fold+milp-certified"
 
     # Certify against the fixed-split capacity bound: with the H/V
     # bipartition frozen by stage 1, every plane assignment has
@@ -543,6 +548,21 @@ def _rebalance(bdd_graph: BddGraph, klabeling: KLabeling, alignment: bool) -> No
                     break
 
 
+def _port_distances(graph, ports: set[int]) -> dict[int, int]:
+    """Hop distance from the nearest port, for every node a port reaches."""
+    dist: dict[int, int] = {p: 0 for p in ports}
+    frontier = sorted(ports)
+    while frontier:
+        nxt: list[int] = []
+        for v in frontier:
+            for u in graph.neighbors(v):
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = sorted(nxt)
+    return dist
+
+
 def _plane_milp(
     bdd_graph: BddGraph,
     labeling: VHLabeling,
@@ -555,59 +575,87 @@ def _plane_milp(
 ):
     """Exact plane assignment for the fixed stitch set; None on failure.
 
-    One binary per (node, allowed label); incompatible label pairs are
-    forbidden edge by edge; R/C bound every horizontal/vertical plane
-    load and D bounds both, reproducing the paper's Eq. 4 objective on
-    the 3D footprint.  Returns ``(labeling, proved_optimal)``.
+    Threshold encoding of each node's lowest plane ``lam_v`` (see
+    :func:`assign_planes`): binaries ``y_v_t = [lam_v >= t]`` for the
+    domain values above the node's minimum, chained downwards; every
+    edge becomes two difference constraints ``lam_u - lam_v <= 1 + w_v``
+    (``w`` = 1 for a stitched node), each written as the closure rows
+    ``[lam_u >= t + c] <= [lam_v >= t]``.  Plane loads, R/C/D and the
+    Eq. 4 objective follow.  Returns ``(labeling, proved_optimal)``.
     """
-    from ..milp.model import Model, sum_expr
+    from ..milp.model import LinExpr, Model
+    from ..perf import counters
 
     graph = bdd_graph.graph
     labels = labeling.labels
     ports = set(bdd_graph.port_nodes()) if alignment else set()
+    dist = _port_distances(graph, ports)
+    width = {v: 1 if labels[v] is Label.VH else 0 for v in graph.nodes()}
 
-    def allowed(v: int) -> list[KLabel]:
-        lab = labels[v]
-        if lab is Label.VH:
-            options = [KLabel(Label.VH, l) for l in range(num_layers)]
-        elif lab is Label.H:
-            options = [
-                KLabel(Label.H, m) for m in range(num_layers // 2 + 1)
-            ]
+    # Domain of lam_v: H on even planes, V on odd ones, a VH pair's lower
+    # wire on 0..K-1; ports pinned to 0, and since lam rises by at most
+    # 2 per edge, a node d hops from a port never sits above plane 2d
+    # (a node no port reaches keeps its whole range: 2K >= K).
+    domains: dict[int, list[int]] = {}
+    for v in sorted(graph.nodes()):
+        if width[v]:
+            dom = range(num_layers)
         else:
-            options = [
-                KLabel(Label.V, m) for m in range((num_layers + 1) // 2)
-            ]
-        if v in ports:
-            options = [o for o in options if o.has_plane0()]
-        return options
+            dom = range(0 if labels[v] is Label.H else 1, num_layers + 1, 2)
+        ceiling = 0 if v in ports else 2 * dist.get(v, num_layers)
+        domains[v] = [t for t in dom if t <= ceiling]
+        if not domains[v]:
+            return None
 
     model = Model("plane-assign")
-    x: dict[tuple[int, KLabel], object] = {}
-    choices: dict[int, list[KLabel]] = {}
-    for v in sorted(graph.nodes()):
-        opts = allowed(v)
-        choices[v] = opts
-        for o in opts:
-            x[(v, o)] = model.add_binary(f"x_{v}_{o}")
-        model.add_constraint(sum_expr(x[(v, o)] for o in opts) == 1)
+    y: dict[tuple[int, int], object] = {}
+    for v, dom in domains.items():
+        for lower, t in zip(dom, dom[1:]):
+            y[(v, t)] = model.add_binary(f"y_{v}_{t}")
+            if (v, lower) in y:
+                model.add_constraint(y[(v, t)] - y[(v, lower)] <= 0)
 
-    for u, v in graph.edges():
-        for lu in choices[u]:
-            for lv in choices[v]:
-                if not lu.compatible(lv):
-                    model.add_constraint(x[(u, lu)] + x[(v, lv)] <= 1)
+    def at_least(v: int, t: int):
+        """``[lam_v >= t]``: the key of a threshold binary, or a constant."""
+        dom = domains[v]
+        if t <= dom[0]:
+            return True
+        if t > dom[-1]:
+            return False
+        return (v, dom[bisect.bisect_left(dom, t)])
+
+    closures: set[tuple] = set()
+    for a, b in graph.edges():
+        for u, v in ((a, b), (b, a)):
+            c = 1 + width[v]
+            for t in range(domains[v][0] + 1, domains[u][-1] - c + 1):
+                hi, lo = at_least(u, t + c), at_least(v, t)
+                if hi is False or lo is True or (hi, lo) in closures:
+                    continue
+                if hi is True and lo is False:
+                    return None  # the domains admit no plane for this edge
+                closures.add((hi, lo))
+                upper = 1.0 if hi is True else y[hi]
+                model.add_constraint(upper - (0.0 if lo is False else y[lo]) <= 0)
 
     r_var = model.add_integer("R", lb=0)
     c_var = model.add_integer("C", lb=0)
     d_var = model.add_integer("D", lb=0)
     for plane in range(num_layers + 1):
-        load = sum_expr(
-            x[(v, o)]
-            for v, opts in choices.items()
-            for o in opts
-            if plane in o.planes
-        )
+        # Wire on ``plane`` iff lam_v <= plane <= lam_v + w_v.
+        coeffs: dict[int, float] = {}
+        constant = 0.0
+        for v in domains:
+            for key, sign in (
+                (at_least(v, plane - width[v]), 1.0),
+                (at_least(v, plane + 1), -1.0),
+            ):
+                if key is True:
+                    constant += sign
+                elif key is not False:
+                    idx = y[key].index
+                    coeffs[idx] = coeffs.get(idx, 0.0) + sign
+        load = LinExpr({i: k for i, k in coeffs.items() if k}, constant)
         bound = r_var if plane % 2 == 0 else c_var
         model.add_constraint(load - bound <= 0)
     model.add_constraint(d_var - r_var >= 0)
@@ -616,13 +664,15 @@ def _plane_milp(
 
     initial = None
     if backend == "bnb":
-        initial = {var.name: 0.0 for var in model.variables}
-        for v, lab in warm.labels.items():
-            initial[f"x_{v}_{lab}"] = 1.0
+        initial = {
+            var.name: float(min(warm.labels[v].planes) >= t)
+            for (v, t), var in y.items()
+        }
         initial["R"] = float(warm.rows)
         initial["C"] = float(warm.cols)
         initial["D"] = float(warm.max_dimension)
 
+    counters.increment("plane_milp_components")
     try:
         solution = model.solve(
             backend=backend, time_limit=time_limit, initial_solution=initial
@@ -632,156 +682,15 @@ def _plane_milp(
     if solution.status not in ("optimal", "feasible"):
         return None
     chosen: dict[int, KLabel] = {}
-    for v, opts in choices.items():
-        picks = [o for o in opts if solution.int_value(f"x_{v}_{o}") == 1]
-        if len(picks) != 1:
-            return None
-        chosen[v] = picks[0]
+    for v, dom in domains.items():
+        lowest = max(
+            t for t in dom if t == dom[0] or solution.int_value(y[(v, t)]) == 1
+        )
+        if width[v]:
+            chosen[v] = KLabel(Label.VH, lowest)
+        else:
+            chosen[v] = _label_for_planes((lowest,))
     result = KLabeling(num_layers, chosen)
     if not result.is_valid(bdd_graph, alignment=alignment):
         return None
     return result, solution.is_optimal
-
-
-def _plane_milp_decomposed(
-    bdd_graph: BddGraph,
-    labeling: VHLabeling,
-    num_layers: int,
-    gamma: float,
-    alignment: bool,
-    backend: str,
-    time_limit: float | None,
-    warm: KLabeling,
-):
-    """Kernelized exact plane assignment; None on failure.
-
-    The PR 5 core/kernel treatment applied to stage 2, which lifts the
-    :data:`MILP_NODE_LIMIT` ceiling of the monolithic model:
-
-    * *forced assignments* — a port's domain collapses to its only
-      plane-0 option (``H@0`` or ``VH@0``), a singleton the presolve
-      eliminates;
-    * *domain pruning* — along an edge the lowest occupied plane rises
-      by at most 2 (the neighbor's highest wire is at most its lowest
-      plus one, and the edge adds one), so a node at hop distance ``d``
-      from a port can be restricted to labels whose lowest plane is at
-      most ``2 d`` without cutting any feasible assignment;
-    * *decomposition* — the pruned model splits over the connected
-      components of the BDD graph; per-plane loads, and hence the
-      footprint, compose by maxima across components.
-
-    Returns ``(labeling, proved_optimal)``.  Optimality composes only
-    for a single component (the usual case — every node reaches the
-    terminal); multi-component results report False and rely on the
-    caller's capacity certificate.
-    """
-    from ..milp.model import Model, sum_expr
-    from ..perf import counters
-
-    graph = bdd_graph.graph
-    labels = labeling.labels
-    ports = set(bdd_graph.port_nodes()) if alignment else set()
-
-    # Hop distance from the pinned (plane-0) port set, for the pruning.
-    dist: dict[int, int] = {p: 0 for p in ports}
-    frontier = sorted(ports)
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for u in graph.neighbors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = sorted(nxt)
-
-    def allowed(v: int) -> list[KLabel]:
-        lab = labels[v]
-        if lab is Label.VH:
-            options = [KLabel(Label.VH, l) for l in range(num_layers)]
-        elif lab is Label.H:
-            options = [KLabel(Label.H, m) for m in range(num_layers // 2 + 1)]
-        else:
-            options = [KLabel(Label.V, m) for m in range((num_layers + 1) // 2)]
-        if v in ports:
-            options = [o for o in options if o.has_plane0()]
-        elif v in dist:
-            ceiling = 2 * dist[v]
-            options = [o for o in options if min(o.planes) <= ceiling]
-        return options
-
-    components = graph.connected_components()
-    counters.increment("plane_milp_components", len(components))
-    merged: dict[int, KLabel] = {}
-    all_optimal = True
-    for comp in sorted(components, key=lambda c: min(c)):
-        nodes = sorted(comp)
-        model = Model("plane-assign-kernel")
-        x: dict[tuple[int, KLabel], object] = {}
-        choices: dict[int, list[KLabel]] = {}
-        for v in nodes:
-            opts = allowed(v)
-            if not opts:
-                return None
-            choices[v] = opts
-            for o in opts:
-                x[(v, o)] = model.add_binary(f"x_{v}_{o}")
-            model.add_constraint(sum_expr(x[(v, o)] for o in opts) == 1)
-        for u, v in graph.edges():
-            if u not in choices or v not in choices:
-                continue
-            for lu in choices[u]:
-                for lv in choices[v]:
-                    if not lu.compatible(lv):
-                        model.add_constraint(x[(u, lu)] + x[(v, lv)] <= 1)
-
-        r_var = model.add_integer("R", lb=0)
-        c_var = model.add_integer("C", lb=0)
-        d_var = model.add_integer("D", lb=0)
-        for plane in range(num_layers + 1):
-            load = sum_expr(
-                x[(v, o)]
-                for v, opts in choices.items()
-                for o in opts
-                if plane in o.planes
-            )
-            bound = r_var if plane % 2 == 0 else c_var
-            model.add_constraint(load - bound <= 0)
-        model.add_constraint(d_var - r_var >= 0)
-        model.add_constraint(d_var - c_var >= 0)
-        model.minimize(gamma * (r_var + c_var) + (1.0 - gamma) * d_var)
-
-        initial = None
-        if backend == "bnb":
-            initial = {var.name: 0.0 for var in model.variables}
-            loads = [0] * (num_layers + 1)
-            for v in nodes:
-                lab = warm.labels[v]
-                initial[f"x_{v}_{lab}"] = 1.0
-                for p in lab.planes:
-                    loads[p] += 1
-            initial["R"] = float(max(loads[0::2], default=0))
-            initial["C"] = float(max(loads[1::2], default=0))
-            initial["D"] = float(max(initial["R"], initial["C"]))
-
-        try:
-            solution = model.solve(
-                backend=backend, time_limit=time_limit,
-                initial_solution=initial,
-            )
-        except Exception:
-            return None
-        if solution.status not in ("optimal", "feasible"):
-            return None
-        for v, opts in choices.items():
-            picks = [o for o in opts if solution.int_value(f"x_{v}_{o}") == 1]
-            if len(picks) != 1:
-                return None
-            merged[v] = picks[0]
-        all_optimal = all_optimal and solution.is_optimal
-
-    result = KLabeling(num_layers, merged)
-    if not result.is_valid(bdd_graph, alignment=alignment):
-        return None
-    # A max-based objective does not decompose additively, so composed
-    # multi-component solutions are not certified here.
-    return result, all_optimal and len(components) == 1

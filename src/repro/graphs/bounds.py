@@ -80,8 +80,10 @@ def vc_lp_witness(graph: UGraph) -> tuple[float, list[tuple[object, object, floa
     dual, so ``value`` can be marginally below the LP optimum (never
     above — the bound stays sound).
     """
-    nodes = list(graph.nodes())
-    edges = list(graph.edges())
+    # Canonical order: the LP's (degenerate) dual, and so the witness,
+    # must not depend on the order the graph's adjacency sets hash into.
+    nodes = sorted(graph.nodes(), key=repr)
+    edges = sorted(graph.edges(), key=repr)
     if not nodes or not edges:
         return 0.0, []
     index = {v: i for i, v in enumerate(nodes)}

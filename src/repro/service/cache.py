@@ -56,7 +56,10 @@ __all__ = [
 #: v4: the weighted MIP is solved in vertex-cover form with the Method-A
 #: bound as a cut; it may return a different design of equal objective,
 #: so disk/remote tiers filled under v3 must not mix with fresh results.
-CACHE_KEY_SCHEMA = "repro-service-key/4"
+#: v5: K >= 2 plane assignment is one exact threshold MILP at every graph
+#: size, and ``certified_s_lb`` no longer trusts a gamma < 1 weighted
+#: labeling's stitch count, so K >= 2 designs and their meta change.
+CACHE_KEY_SCHEMA = "repro-service-key/5"
 
 _READERS = None  # lazily populated: {"verilog": read_verilog, ...}
 

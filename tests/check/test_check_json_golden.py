@@ -1,12 +1,10 @@
 """``repro check --json`` on synthesized designs, pinned byte for byte.
 
-The golden reports in ``golden_check_json/`` were captured once from a
-checkout where planar and layered designs were still separate classes
-with separate checks; the single design model must reproduce them at
-K=1 (L001 certificate) and K=2 (L003 certificate).  The certificate
-witnesses are built by walking hash-ordered sets of the string node
-labels a reloaded design carries, so each check runs in a fresh
-interpreter with a fixed ``PYTHONHASHSEED``.
+The golden reports in ``golden_check_json/`` pin the K=1 (L001
+certificate) and K=2 (L003 certificate) output of the single design
+model.  A reloaded design carries string node labels, whose hashes vary
+between interpreters; the certificate witnesses walk the graph in a
+canonical order, so the report must not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -26,16 +24,28 @@ GOLDEN = Path(__file__).parent / "golden_check_json"
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
+def check_json(target: str, cwd: Path, hash_seed: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "check", target, "--json"],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("name", ["c17", "voter9", "alu4"])
 def test_check_json_matches_golden(name, layers, tmp_path):
     target = f"{name}-K{layers}.json"
     design = Compact(layers=layers).synthesize_netlist(circuit(name)).design
     (tmp_path / target).write_text(design_to_json(design))
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "check", target, "--json"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / target).read_text()
+    assert check_json(target, tmp_path, "0") == (GOLDEN / target).read_text()
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_check_json_is_independent_of_the_hash_seed(layers, tmp_path):
+    target = f"c17-K{layers}.json"
+    design = Compact(layers=layers).synthesize_netlist(circuit("c17")).design
+    (tmp_path / target).write_text(design_to_json(design))
+    assert check_json(target, tmp_path, "2") == check_json(target, tmp_path, "3")

@@ -9,13 +9,17 @@ from repro.core import (
     KLabel,
     KLabeling,
     assign_planes,
+    label_min_semiperimeter,
     label_weighted,
     lift_labeling,
     preprocess,
 )
-from repro.core.klabel import MILP_NODE_LIMIT, _zigzag_fold, stitch_lower_bound
+from repro.core.klabel import _zigzag_fold, stitch_lower_bound
 from repro.core.labeling import LabelingError
 from repro.expr import parse
+from repro.perf import counters
+
+from tests.core.plane_milp_oracle import plane_milp_oracle
 
 
 def labeled_graph(exprs=None, netlist=None, gamma=0.5):
@@ -147,56 +151,89 @@ class TestAssignPlanes:
         with pytest.raises(ValueError):
             assign_planes(bg, lab, 0)
 
-    def test_large_graph_uses_fold_only(self, monkeypatch):
-        import repro.core.klabel as klabel_mod
-
+    def test_fold_and_heuristic_skip_the_exact_solve(self):
         bg, lab = labeled_graph(netlist=majority_voter(9))
-        monkeypatch.setattr(klabel_mod, "MILP_NODE_LIMIT", 1)
-        kl = assign_planes(bg, lab, 2)
-        kl.validate(bg, alignment=True)
-        assert kl.meta["plane_method"].startswith("fold")
-        assert "milp" not in kl.meta["plane_method"]
+        for knobs in ({"plane_method": "fold"}, {"method": "heuristic"}):
+            solves = counters.get("plane_milp_components")
+            kl = assign_planes(bg, lab, 2, **knobs)
+            kl.validate(bg, alignment=True)
+            assert counters.get("plane_milp_components") == solves
+            assert kl.meta["plane_method"].startswith("fold")
+            assert "milp" not in kl.meta["plane_method"]
 
     def test_rejects_unknown_plane_method(self):
         bg, lab = labeled_graph(exprs={"f": "a & b"})
-        with pytest.raises(ValueError, match="plane_method"):
-            assign_planes(bg, lab, 2, plane_method="simplex")
+        # The exact model runs under "auto"; it has no knob value of its own.
+        for plane_method in ("simplex", "milp", "decomposed-milp"):
+            with pytest.raises(ValueError, match="plane_method"):
+                assign_planes(bg, lab, 2, plane_method=plane_method)
 
-    def test_decomposed_milp_matches_monolithic_on_c17(self):
+    def test_exact_milp_matches_the_oracle_on_c17(self):
         bg, lab = labeled_graph(netlist=c17())
-        mono = assign_planes(bg, lab, 2, plane_method="milp")
-        dec = assign_planes(bg, lab, 2, plane_method="decomposed-milp")
-        dec.validate(bg, alignment=True)
-        assert dec.semiperimeter == mono.semiperimeter
-        assert "decomposed-milp" in dec.meta["plane_method"]
+        solves = counters.get("plane_milp_components")
+        kl = assign_planes(bg, lab, 2)
+        assert counters.get("plane_milp_components") == solves + 1
+        kl.validate(bg, alignment=True)
+        folded = _zigzag_fold(bg, lab, 2, True)
+        oracle, proved = plane_milp_oracle(
+            bg, lab, 2, 0.5, True, backend="highs", time_limit=None, warm=folded
+        )
+        assert proved and kl.meta["plane_optimal"] is True
+        assert kl.objective(0.5) == pytest.approx(oracle.objective(0.5))
+        assert "milp" in kl.meta["plane_method"]
 
 
-class TestDecomposedMilpAboveTheGate:
-    """Circuits past the monolithic node gate still get exact plane MILPs."""
+class TestExactAboveTheOldGate:
+    """Graphs past the former 240-node gate get the same exact solve."""
 
     @pytest.mark.parametrize("name", ["cavlc_like", "router24"])
-    def test_decomposed_is_exact_above_milp_node_limit(self, name):
+    def test_exact_above_the_old_node_gate(self, name):
         from repro.bench.suites import circuit
 
         bg = preprocess(build_sbdd(circuit(name)))
-        assert len(bg.graph) > MILP_NODE_LIMIT
+        assert len(bg.graph) > 240
         # Stage-1 quality is irrelevant here (a time limit keeps the
-        # test fast); the property under test is that the kernelized
-        # per-component MILPs reproduce the monolithic optimum.
+        # test fast); the property under test is that the plane MILP
+        # reaches the one-hot oracle's optimum on a large graph.
         lab = label_weighted(bg, gamma=0.5, alignment=True, time_limit=5)
-        dec = assign_planes(bg, lab, 3, plane_method="decomposed-milp")
-        mono = assign_planes(bg, lab, 3, plane_method="milp")
-        dec.validate(bg, alignment=True)
-        assert dec.semiperimeter == mono.semiperimeter
-        assert "decomposed-milp" in dec.meta["plane_method"]
-        assert dec.meta["plane_optimal"] is True
+        kl = assign_planes(bg, lab, 3)
+        kl.validate(bg, alignment=True)
+        folded = _zigzag_fold(bg, lab, 3, True)
+        oracle, proved = plane_milp_oracle(
+            bg, lab, 3, 0.5, True, backend="highs", time_limit=None, warm=folded
+        )
+        assert proved
+        assert kl.objective(0.5) == pytest.approx(oracle.objective(0.5))
+        assert "milp" in kl.meta["plane_method"]
+        assert kl.meta["plane_optimal"] is True
 
 
 class TestStitchLowerBound:
     def test_optimal_stage1_certifies_its_stitch_count(self):
-        bg, lab = labeled_graph(netlist=c17())
-        if lab.meta.get("optimal"):
-            assert stitch_lower_bound(lab) == lab.vh_count
+        # Only a proven minimum stitch set certifies its own count: a
+        # Method-A labeling, or a weighted optimum at gamma 1.
+        bg = preprocess(build_sbdd(c17()))
+        oct_lab = label_min_semiperimeter(bg, alignment=True)
+        assert oct_lab.meta["optimal"]
+        assert stitch_lower_bound(oct_lab) == oct_lab.vh_count
+        mip_lab = label_weighted(bg, gamma=1.0, alignment=True)
+        assert mip_lab.meta["optimal"]
+        assert stitch_lower_bound(mip_lab) == mip_lab.vh_count
+
+    def test_weighted_optimum_below_gamma1_uses_its_cut(self):
+        # At gamma 0.5 the weighted MIP may spend extra stitches to
+        # balance D: cmp8's optimum has VH labels although its minimum
+        # OCT is 0, so only the Method-A cut it was solved with counts.
+        from repro.bench.suites import circuit
+
+        bg = preprocess(build_sbdd(circuit("cmp8")))
+        n = len(bg.graph)
+        oct_lab = label_min_semiperimeter(bg, alignment=True)
+        assert oct_lab.meta["optimal"] and oct_lab.vh_count == 0
+        cut = n + stitch_lower_bound(oct_lab)
+        mip_lab = label_weighted(bg, gamma=0.5, alignment=True, s_lower_bound=cut)
+        assert mip_lab.meta["optimal"] and mip_lab.vh_count > 0
+        assert stitch_lower_bound(mip_lab) == cut - n == 0
 
     def test_oct_bound_is_used_when_not_optimal(self):
         bg, lab = labeled_graph(netlist=c17())

@@ -75,20 +75,20 @@ def test_wrong_schema_entry_is_dropped(tmp_path):
 
 
 def test_entry_from_the_previous_key_schema_is_a_miss(tmp_path):
-    """A tier filled by an older node (``/3``) never serves this one."""
-    assert CACHE_KEY_SCHEMA == "repro-service-key/4"
+    """A tier filled by an older node (``/4``) never serves this one."""
+    assert CACHE_KEY_SCHEMA == "repro-service-key/5"
     params = {"expr": "a & b"}
     material = canonical_request("synth", params)
-    old_material = {**material, "schema": "repro-service-key/3"}
+    old_material = {**material, "schema": "repro-service-key/4"}
     old_key = hashlib.sha256(
         json.dumps(old_material, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     key = request_key("synth", params)
     assert key != old_key
-    # Even an entry written under the current key but stamped /3 is dropped.
+    # Even an entry written under the current key but stamped /4 is dropped.
     for stale in (old_key, key):
         (tmp_path / f"{stale}.json").write_text(
-            json.dumps({"schema": "repro-service-key/3", "result": {"value": 1}})
+            json.dumps({"schema": "repro-service-key/4", "result": {"value": 1}})
         )
     cache = ResultCache(capacity=4, directory=tmp_path)
     assert cache.get(key) is None

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.core import Compact
 from repro.crossbar import design_to_json, fault_map_to_json, random_fault_map
 from repro.io import write_blif
@@ -130,4 +132,12 @@ def test_synth_layers_knob_produces_layered_result():
 
 def test_synth_layers_must_be_positive():
     payload = jobs.execute("synth", {"expr": "a & b", "layers": 0})
+    assert payload["error"]["code"] == "bad_request"
+
+
+@pytest.mark.parametrize("plane_method", ["milp", "decomposed-milp"])
+def test_removed_plane_methods_are_bad_requests(plane_method):
+    payload = jobs.execute(
+        "synth", {"expr": "a & b", "layers": 2, "plane_method": plane_method}
+    )
     assert payload["error"]["code"] == "bad_request"

@@ -189,3 +189,10 @@ def test_bench_rejects_unknown_experiment():
 
 def test_bench_service_rejects_missing_trace(capsys):
     assert _exit_code(["bench", "service", "--trace", "/nonexistent.json"]) == 2
+
+
+@pytest.mark.parametrize("plane_method", ["milp", "decomposed-milp"])
+def test_synth_removed_plane_methods_exit_two(capsys, plane_method):
+    argv = ["synth", "--expr", "a & b", "--layers", "2", "--plane-method", plane_method]
+    assert _exit_code(argv) == 2
+    assert "invalid choice" in capsys.readouterr().err
